@@ -1,12 +1,13 @@
-// Shard perf-trajectory recorder: measures the sharded runtime — epoch
-// loop overhead at S=1 against the unsharded replay, multi-core scaling of
-// an 8-shard fleet across worker-thread counts, and cross-shard traffic
-// throughput — with the same plain chrono harness as perf_stack, and
-// writes BENCH_shard.json alongside the engine/stack snapshots.
+// Shard perf-trajectory recorder: measures the replay driver — its two
+// one-shard entry points (run_trace_replay and run_sharded_replay at S=1)
+// side by side, multi-core scaling of an 8-shard fleet across
+// worker-thread counts, and cross-shard traffic throughput — with the same
+// plain chrono harness as perf_stack, and writes BENCH_shard.json
+// alongside the engine/stack snapshots.
 //
 // The binary also re-verifies the subsystem's two contracts before
-// writing anything: the 1-shard run must be bit-identical to the unsharded
-// path, and every thread count must produce bit-identical merged results.
+// writing anything: both one-shard entry points must agree bit for bit,
+// and every thread count must produce bit-identical merged results.
 //
 // Note: thread scaling is hardware-bound — the speedup metric records
 // whatever the host provides (hardware_concurrency is included in the
@@ -97,7 +98,9 @@ int main(int argc, char** argv) {
   const Trace trace = make_trace();
   const TraceReplayConfig stack = stack_config();
 
-  // Contract 1: 1 shard == unsharded, bit for bit.
+  // Contract 1: run_trace_replay (the one-shard driver around a borrowed
+  // policy) == run_sharded_replay at S = 1 (factory-built policy), bit for
+  // bit.
   ThresholdPolicy unsharded_policy(core::InteractionModel::kModelA);
   const ProxySimResult unsharded =
       run_trace_replay(trace, stack, unsharded_policy);

@@ -17,10 +17,11 @@
 //   --convert OUT.spt   write it as a binary trace and exit
 //   --save-csv OUT.csv  write it as CSV and exit (both flags compose)
 //
-// With --shards > 1 the population is split across a sharded fleet
-// (shard/sharded_sim.hpp): one engine per shard, conservative epoch
-// barriers, cross-shard traffic on the backbone — and --threads worker
-// threads drive the shards in parallel with bit-identical results.
+// Every run goes through the replay driver (shard/sharded_sim.hpp); with
+// --shards > 1 the population is split across a fleet: one engine per
+// shard, conservative epoch barriers, cross-shard traffic on the backbone
+// — and --threads worker threads drive the shards in parallel with
+// bit-identical results.
 //
 //   ./million_user_sweep --users 1000000 --requests 3000000
 //   ./million_user_sweep --shards 8 --threads 8 --policy threshold-a
@@ -71,6 +72,16 @@ std::string suffixed_path(const std::string& base, const std::string& token) {
   return base.substr(0, dot) + "-" + token + base.substr(dot);
 }
 
+/// Resets the kernel's RSS high-water mark (VmHWM) to the current RSS, so
+/// the next run's peak is its own and not an earlier row's. Linux only;
+/// false when /proc/self/clear_refs cannot be written.
+bool reset_peak_rss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool wrote = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && wrote;
+}
+
 /// Streams `source` to CSV with round-trip-exact timestamp precision,
 /// without materializing a Trace.
 bool save_csv_streaming(const std::string& path, TraceSource& source) {
@@ -99,7 +110,7 @@ int main(int argc, char** argv) {
   args.add_flag("pages", "400", "site size (pages)");
   args.add_flag("cache", "8", "per-user cache capacity (pages)");
   args.add_flag("bandwidth", "20000", "per-region link bandwidth (pages/s)");
-  args.add_flag("shards", "1", "number of shards (1 = unsharded runtime)");
+  args.add_flag("shards", "1", "number of shards");
   args.add_flag("threads", "1",
                 "worker threads for the shard driver (0 = hardware)");
   args.add_flag("policy", "none,threshold-a",
@@ -144,7 +155,7 @@ int main(int argc, char** argv) {
   args.add_flag("save-csv", "",
                 "write the selected source to this CSV path and exit");
   args.add_flag("stream-window", "65536",
-                "records scheduled per engine batch on streamed replays");
+                "most records fed into the engines per epoch");
   args.add_flag("progress", "false",
                 "print a wall-clock heartbeat (records fed, req/s, peak RSS) "
                 "to stderr while the replay streams");
@@ -270,7 +281,12 @@ int main(int argc, char** argv) {
     progress = std::make_unique<ProgressTraceSource>(*inner, "replay");
   }
 
-  TraceReplayConfig replay_cfg;
+  ShardedReplayConfig sharded_cfg;
+  sharded_cfg.num_shards = shards;
+  sharded_cfg.num_threads = threads;
+  sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
+  sharded_cfg.backbone_latency = args.get_double("backbone-latency");
+  TraceReplayConfig& replay_cfg = sharded_cfg.stack;
   replay_cfg.bandwidth = args.get_double("bandwidth");
   replay_cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache"));
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
@@ -288,85 +304,67 @@ int main(int argc, char** argv) {
   table.set_precision(4);
   for (const std::string& name : split_csv(args.get_string("policy"))) {
     const PolicyFactory factory = policy_factory(name);
+    const bool peak_reset = reset_peak_rss();
     const MemoryUsage mem_before = read_memory_usage();
     t0 = Clock::now();
-    ProxySimResult r;
-    std::uint64_t backbone_jobs = 0;
-    std::unique_ptr<TelemetryPlane> plane;
     std::unique_ptr<TelemetryFleet> fleet;
-    if (shards <= 1) {
-      if (telemetry_on) {
-        plane = std::make_unique<TelemetryPlane>(tele_cfg);
-        replay_cfg.telemetry = plane.get();
-      }
-      auto policy = factory();
-      r = progress ? run_trace_replay(*progress, replay_cfg, *policy)
-          : ram    ? run_trace_replay(*ram, replay_cfg, *policy)
-                   : run_trace_replay(*stream, replay_cfg, *policy);
-      replay_cfg.telemetry = nullptr;
-    } else {
-      ShardedReplayConfig sharded_cfg;
-      sharded_cfg.stack = replay_cfg;
-      sharded_cfg.num_shards = shards;
-      sharded_cfg.num_threads = threads;
-      sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
-      sharded_cfg.backbone_latency = args.get_double("backbone-latency");
-      if (telemetry_on) {
-        fleet = std::make_unique<TelemetryFleet>(tele_cfg, shards);
-        sharded_cfg.telemetry = fleet.get();
-      }
-      const ShardedReplayResult sr =
-          progress ? run_sharded_replay(*progress, sharded_cfg, factory)
-          : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
-                   : run_sharded_replay(*stream, sharded_cfg, factory);
-      r = sr.merged;
-      backbone_jobs = sr.backbone.jobs();
-      if (args.get_bool("per-shard-stats")) {
-        std::printf("policy %s per-shard breakdown:\n", name.c_str());
-        for (std::size_t s = 0; s < sr.num_shards; ++s) {
-          const ShardLoadStats& load = sr.shard_load[s];
-          std::printf(
-              "  shard %zu: %llu requests, %llu events, mbox %llu out / "
-              "%llu in\n",
-              s,
-              static_cast<unsigned long long>(sr.per_shard[s].requests),
-              static_cast<unsigned long long>(load.events_executed),
-              static_cast<unsigned long long>(load.mailbox_sent),
-              static_cast<unsigned long long>(load.mailbox_received));
-        }
+    if (telemetry_on) {
+      fleet = std::make_unique<TelemetryFleet>(tele_cfg, shards);
+      sharded_cfg.telemetry = fleet.get();
+    }
+    const ShardedReplayResult sr =
+        progress ? run_sharded_replay(*progress, sharded_cfg, factory)
+        : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
+                 : run_sharded_replay(*stream, sharded_cfg, factory);
+    const ProxySimResult& r = sr.merged;
+    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (args.get_bool("per-shard-stats")) {
+      std::printf("policy %s per-shard breakdown:\n", name.c_str());
+      for (std::size_t s = 0; s < sr.num_shards; ++s) {
+        const ShardLoadStats& load = sr.shard_load[s];
+        std::printf(
+            "  shard %zu: %llu requests, %llu events, mbox %llu out / "
+            "%llu in\n",
+            s, static_cast<unsigned long long>(sr.per_shard[s].requests),
+            static_cast<unsigned long long>(load.events_executed),
+            static_cast<unsigned long long>(load.mailbox_sent),
+            static_cast<unsigned long long>(load.mailbox_received));
       }
     }
-    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
     if (!trace_path.empty()) {
       const std::string out = suffixed_path(trace_path, name);
-      const bool ok = plane ? write_chrome_trace(out, *plane)
-                            : write_chrome_trace(out, *fleet);
-      if (!ok) std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+      if (!write_chrome_trace(out, *fleet)) {
+        std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+      }
     }
     if (!series_path.empty()) {
       const std::string out = suffixed_path(series_path, name);
-      const bool ok = plane ? write_timeseries_csv(out, *plane)
-                            : write_timeseries_csv(out, *fleet);
-      if (!ok) std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+      if (!write_timeseries_csv(out, *fleet)) {
+        std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+      }
     }
     // Runtime footprint per user: growth of the RSS high-water mark over
     // this run (per-user caches + in-flight bookkeeping + predictor). The
-    // first policy row carries the cost; later rows mostly reuse freed
-    // pages and report the marginal growth.
+    // mark was reset to the current RSS before the run, so every row
+    // reports its own peak; without the reset a later row would only see
+    // its growth past an earlier row's peak.
     const MemoryUsage mem_after = read_memory_usage();
-    const double run_bytes_per_user =
-        mem_after.peak_resident_bytes > mem_before.peak_resident_bytes
-            ? static_cast<double>(mem_after.peak_resident_bytes -
-                                  mem_before.peak_resident_bytes) /
-                  static_cast<double>(population)
-            : 0.0;
+    Cell run_bytes_per_user = std::string("n/a");
+    if (peak_reset) {
+      const std::size_t before = mem_before.peak_resident_bytes;
+      const std::size_t after = mem_after.peak_resident_bytes;
+      run_bytes_per_user = after > before
+                               ? static_cast<double>(after - before) /
+                                     static_cast<double>(population)
+                               : 0.0;
+    }
     table.add_row({r.policy, r.mean_access_time, r.hit_ratio,
                    r.server_utilization,
                    static_cast<std::int64_t>(r.demand_jobs),
                    static_cast<std::int64_t>(r.prefetch_jobs),
                    static_cast<std::int64_t>(r.throttled_prefetches),
                    static_cast<std::int64_t>(r.inflight_hits),
-                   static_cast<std::int64_t>(backbone_jobs), secs,
+                   static_cast<std::int64_t>(sr.backbone.jobs()), secs,
                    static_cast<double>(r.requests) / secs,
                    static_cast<double>(mem_after.peak_resident_bytes) / 1e6,
                    run_bytes_per_user});

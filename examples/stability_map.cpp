@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   args.add_flag("sample-interval", "0.25",
                 "telemetry gauge sampling cadence (sim-seconds)");
   args.add_flag("stream-window", "2048",
-                "records per engine batch — also the unsharded detector's "
+                "most records fed per epoch — also bounds the detector's "
                 "evaluation cadence, so it stays well below the trace");
   args.add_flag("window", "32", "detector trend window (rows)");
   args.add_flag("growth-run", "6",
@@ -257,32 +257,20 @@ int main(int argc, char** argv) {
     detector.configure(det_cfg);
 
     const auto t0 = Clock::now();
-    ProxySimResult r;
-    if (shards <= 1) {
-      TelemetryPlane plane(tele_cfg);
-      replay_cfg.telemetry = &plane;
-      replay_cfg.divergence = &detector;
-      replay_cfg.abort_on_divergence = allow_abort;
-      const auto policy = make_policy_by_name(policy_name);
-      SPECPF_EXPECTS(policy != nullptr);
-      r = run_trace_replay(trace, replay_cfg, *policy);
-    } else {
-      ShardedReplayConfig sharded_cfg;
-      sharded_cfg.stack = std::move(replay_cfg);
-      sharded_cfg.num_shards = shards;
-      sharded_cfg.num_threads = threads;
-      sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
-      sharded_cfg.backbone_latency = args.get_double("backbone-latency");
-      TelemetryFleet fleet(tele_cfg, shards);
-      sharded_cfg.telemetry = &fleet;
-      sharded_cfg.divergence = &detector;
-      sharded_cfg.abort_on_divergence = allow_abort;
-      r = run_sharded_replay(trace, sharded_cfg,
-                             [&policy_name] {
-                               return make_policy_by_name(policy_name);
-                             })
-              .merged;
-    }
+    ShardedReplayConfig sharded_cfg;
+    sharded_cfg.stack = std::move(replay_cfg);
+    sharded_cfg.num_shards = shards;
+    sharded_cfg.num_threads = threads;
+    sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
+    sharded_cfg.backbone_latency = args.get_double("backbone-latency");
+    TelemetryFleet fleet(tele_cfg, shards);
+    sharded_cfg.telemetry = &fleet;
+    sharded_cfg.divergence = &detector;
+    sharded_cfg.abort_on_divergence = allow_abort;
+    const ProxySimResult r =
+        run_sharded_replay(trace, sharded_cfg, [&policy_name] {
+          return make_policy_by_name(policy_name);
+        }).merged;
     cell.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
 
     cell.verdict = detector.verdict();

@@ -12,8 +12,8 @@
 //
 // Origin traffic is accounting-plane: completions update statistics but do
 // not gate the user-facing fetch (the regional proxy serves it), so the
-// unsharded dynamics are untouched and a 1-shard run stays bit-identical
-// to the unsharded stack.
+// regional dynamics are untouched by backbone load. A 1-shard run builds no
+// origin links at all.
 #pragma once
 
 #include <cstdint>

@@ -41,8 +41,8 @@ struct ServerStats {
 /// Merges snapshots of parallel links (one per shard): completions and
 /// service demand add, mean_sojourn is completion-weighted, utilization
 /// averages across links, mean_jobs_in_system sums (total concurrent jobs
-/// fleet-wide). A single-element merge returns that element verbatim so
-/// 1-shard results stay bit-identical to the unsharded path.
+/// fleet-wide). A single-element merge returns that element verbatim, so
+/// a 1-shard fleet reports its only link bit for bit.
 ServerStats merge_server_stats(const std::vector<ServerStats>& links);
 
 class Server {

@@ -25,9 +25,9 @@
 // queue to the horizon.
 //
 // The evaluation entry points run on the driver thread at points the
-// runtime already visits (stream-window boundaries unsharded, epoch
-// barriers sharded) and are cheap when no new sample rows arrived (one
-// integer compare per watched signal).
+// runtime already visits (the replay driver's epoch barriers) and are
+// cheap when no new sample rows arrived (one integer compare per watched
+// signal).
 #pragma once
 
 #include <cstdint>

@@ -23,21 +23,30 @@ void ShardedReplayConfig::validate() const {
   SPECPF_EXPECTS(num_shards >= 1);
   SPECPF_EXPECTS(backbone_latency > 0.0);
   SPECPF_EXPECTS(backbone_bandwidth > 0.0);
-  // Sharded telemetry goes through the fleet, one plane per shard; the
-  // detector likewise attaches fleet-wide through this config.
-  SPECPF_EXPECTS(stack.telemetry == nullptr);
+  // One plane cannot serve S independent engines: a borrowed stack plane
+  // serves only a one-shard run, the fleet any shard count. The detector
+  // attaches fleet-wide through this config either way.
+  SPECPF_EXPECTS(stack.telemetry == nullptr ||
+                 (num_shards == 1 && telemetry == nullptr));
   SPECPF_EXPECTS(stack.divergence == nullptr);
   SPECPF_EXPECTS(telemetry == nullptr || telemetry->size() == num_shards);
-  SPECPF_EXPECTS(divergence == nullptr || telemetry != nullptr);
+  SPECPF_EXPECTS(divergence == nullptr || telemetry != nullptr ||
+                 stack.telemetry != nullptr);
   SPECPF_EXPECTS(!abort_on_divergence || divergence != nullptr);
 }
 
 // One region: an independent engine plus its data plane. `runtime` is null
 // for shards that own no trace records (they can still receive backbone
 // traffic for items homed there, so the engine and origin link exist
-// regardless).
+// regardless). `origin` is null when nothing can cross shards (S = 1).
 struct ShardedSim::Shard {
   explicit Shard(std::size_t num_shards) : outbox(num_shards) {}
+
+  /// Measurement-horizon snapshot of whatever this shard carries.
+  void snapshot_horizon() {
+    if (runtime) horizon = runtime->snapshot_server();
+    if (origin) backbone_horizon = origin->stats();
+  }
 
   std::uint32_t id = 0;
   Simulator sim;
@@ -76,8 +85,8 @@ struct ShardedSim::Shard {
 namespace {
 
 /// Shard s > 0 draws a counter-based stream off the root seed; shard 0
-/// inherits the root itself so a 1-shard run is bit-identical to the
-/// unsharded run_trace_replay with the same config.
+/// inherits the root itself, so a 1-shard run uses the configured seed
+/// verbatim.
 std::uint64_t shard_seed(std::uint64_t root_seed, std::uint32_t shard) {
   if (shard == 0) return root_seed;
   return Rng(root_seed).substream(shard).next_u64();
@@ -117,8 +126,7 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
   // (first-appearance order within the shard — the same order iterating
   // the shard's partition_by_user sub-trace would produce). Warmup and
   // horizon instants come from the *global* trace so every shard switches
-  // measurement on at the same simulated time, exactly where the unsharded
-  // replay would.
+  // measurement on at the same simulated time.
   source.reset();
   {
     TraceRecord r;
@@ -146,16 +154,23 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
 
   const bool control_plane_on =
       !config_.stack.governor.empty() || config_.stack.enable_load_sensor;
+  // Origin uplinks, their gauges, and the barrier rows that refresh them
+  // exist only when some retrieval can be homed on another shard.
+  const bool cross_shard = S > 1;
 
   for (std::uint32_t s = 0; s < S; ++s) {
     Shard* shard = shards_[s].get();
-    shard->origin =
-        std::make_unique<OriginLink>(shard->sim, config_.backbone_bandwidth);
-    if (control_plane_on) shard->origin->enable_sensor(config_.stack.sensor);
-    if (config_.telemetry != nullptr) {
+    shard->telemetry = config_.telemetry != nullptr
+                           ? &config_.telemetry->shard(s)
+                           : config_.stack.telemetry;
+    if (cross_shard) {
+      shard->origin =
+          std::make_unique<OriginLink>(shard->sim, config_.backbone_bandwidth);
+      if (control_plane_on) shard->origin->enable_sensor(config_.stack.sensor);
+    }
+    if (cross_shard && shard->telemetry != nullptr) {
       // Origin-uplink gauges register *before* the runtime builds (the
       // runtime seals the plane); the driver refreshes them at barriers.
-      shard->telemetry = &config_.telemetry->shard(s);
       TelemetryRegistry& reg = shard->telemetry->registry();
       shard->g_origin_queue = reg.register_gauge("origin.queue_depth", "jobs");
       shard->g_origin_util = reg.register_gauge("origin.util_ewma", "ratio");
@@ -178,6 +193,7 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
                                              shard->user_index.size(),
                                              config_.stack.use_legacy_predictors);
     shard->policy = make_policy();
+    SPECPF_EXPECTS(shard->policy != nullptr);
     if (policy_name_.empty()) policy_name_ = shard->policy->name();
 
     StackRuntimeConfig rt;
@@ -229,14 +245,15 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
 
   // Attach the fleet detector now that every shard's plane is sealed. One
   // detector watching all planes under per-shard name prefixes makes the
-  // fleet verdict the worst shard's with no extra merge step.
+  // fleet verdict the worst shard's with no extra merge step; a lone plane
+  // needs no prefix to tell its signals apart.
   if (config_.divergence != nullptr) {
     DivergenceDetector& det = *config_.divergence;
     if (!det.configured()) det.configure(DivergenceConfig{});
     if (det.num_signals() == 0) {
       for (std::uint32_t s = 0; s < S; ++s) {
         det.watch_plane(*shards_[s]->telemetry,
-                        "shard" + std::to_string(s) + "/");
+                        S > 1 ? "shard" + std::to_string(s) + "/" : "");
       }
     }
   }
@@ -261,39 +278,27 @@ void ShardedSim::schedule_warmup_events() {
   // record's arrival time, so the schedule is legal fleet-wide.
   const double warmup_time = pending_record_.time - t0_;
   for (auto& shard : shards_) {
-    OriginLink* origin = shard->origin.get();
-    if (shard->runtime) {
-      StackRuntime* runtime = shard->runtime.get();
-      shard->sim.schedule_at(warmup_time, [runtime, origin] {
-        runtime->begin_measurement();
-        origin->reset_stats();
-      });
-    } else {
-      shard->sim.schedule_at(warmup_time, [origin] { origin->reset_stats(); });
-    }
+    shard->sim.schedule_at(warmup_time, [runtime = shard->runtime.get(),
+                                         origin = shard->origin.get()] {
+      if (runtime) runtime->begin_measurement();
+      if (origin) origin->reset_stats();
+    });
   }
 }
 
 void ShardedSim::schedule_horizons() {
   for (auto& shard : shards_) {
-    if (shard->runtime) {
-      shard->sim.schedule_at(end_time_, [raw = shard.get()] {
-        raw->horizon = raw->runtime->snapshot_server();
-        raw->backbone_horizon = raw->origin->stats();
-      });
-    } else {
-      shard->sim.schedule_at(end_time_, [raw = shard.get()] {
-        raw->backbone_horizon = raw->origin->stats();
-      });
-    }
+    shard->sim.schedule_at(end_time_,
+                           [raw = shard.get()] { raw->snapshot_horizon(); });
   }
 }
 
-void ShardedSim::feed_records(double epoch_end) {
+double ShardedSim::feed_records(double epoch_end) {
   const std::size_t S = shards_.size();
-  while (have_pending_) {
+  for (std::size_t fed = 0; have_pending_; ++fed) {
     const double when = pending_record_.time - t0_;
-    if (when > epoch_end) return;
+    if (when > epoch_end) break;
+    if (fed == config_.stack.stream_window) return when;
     SPECPF_EXPECTS(when >= 0.0);
     if (warmup_records_ > 0 && fed_index_ == warmup_records_) {
       schedule_warmup_events();
@@ -308,6 +313,7 @@ void ShardedSim::feed_records(double epoch_end) {
     have_pending_ = source_->next(&pending_record_);
     if (!have_pending_) schedule_horizons();
   }
+  return epoch_end;
 }
 
 double ShardedSim::fleet_next_event_time() {
@@ -336,7 +342,6 @@ void ShardedSim::run_epoch(double epoch_end) {
 
 void ShardedSim::exchange_mailboxes() {
   const std::size_t S = shards_.size();
-  if (S == 1) return;
   const double latency = config_.backbone_latency;
   const double size = config_.stack.item_size;
   // Destination-major, source 0..S-1: the canonical order that pins the
@@ -378,11 +383,11 @@ void ShardedSim::exchange_setpoints() {
 }
 
 void ShardedSim::sample_telemetry(double now) {
-  if (config_.telemetry == nullptr) return;
   // Driver thread, canonical shard order. Every event a shard executed
   // this epoch is <= now, and mailbox deliveries land >= now, so the
   // forced barrier row keeps each recorder's timestamps monotone.
   for (auto& shard : shards_) {
+    if (shard->telemetry == nullptr || !shard->origin) continue;
     TelemetryRegistry& reg = shard->telemetry->registry();
     reg.set_gauge(shard->g_origin_queue,
                   static_cast<double>(shard->origin->active_jobs()));
@@ -409,14 +414,17 @@ ShardedReplayResult ShardedSim::run() {
 
   // Conservative epoch loop. Lookahead = backbone latency: every event a
   // shard emits during [t_min, t_min + L) is delivered at send + L >=
-  // t_min + L, i.e. never inside a window anyone already executed. Epochs
-  // are anchored at the fleet-wide earliest pending event — engine events
-  // and the feeder's next unscheduled trace record alike, so the epoch
-  // sequence is identical to the historical whole-trace-prescheduled
-  // driver's — which also fast-forwards through idle stretches instead of
-  // spinning fixed-width windows over them.
-  const double lookahead = config_.backbone_latency;
-  bool aborted = false;
+  // t_min + L, i.e. never inside a window anyone already executed. With one
+  // shard nothing crosses, so the lookahead is unbounded. Epochs are
+  // anchored at the fleet-wide earliest pending event — engine events and
+  // the feeder's next unscheduled trace record alike — which fast-forwards
+  // through idle stretches instead of spinning fixed-width windows over
+  // them. An epoch also ends at the arrival of the stream_window-th unfed
+  // record, so engine occupancy stays bounded however far the lookahead
+  // reaches.
+  const double lookahead = shards_.size() > 1
+                               ? config_.backbone_latency
+                               : std::numeric_limits<double>::infinity();
   for (;;) {
     double t_min = fleet_next_event_time();
     if (have_pending_) {
@@ -426,21 +434,26 @@ ShardedReplayResult ShardedSim::run() {
     // Feed this window's records before its pops: each batch lands in the
     // destination engine's O(1)-pop sorted tier, and occupancy stays at
     // ~one epoch's worth of arrivals instead of the whole trace.
-    feed_records(t_min + lookahead);
-    run_epoch(t_min + lookahead);
+    const double epoch_end = feed_records(t_min + lookahead);
+    run_epoch(epoch_end);
     ++epochs_;
     exchange_mailboxes();
     exchange_setpoints();
-    sample_telemetry(t_min + lookahead);
-    // Epoch barriers are the fleet detector's evaluation instants: the
-    // forced sample above just refreshed every shard's gauge rows, and the
-    // driver thread owns all state here. Pure observation unless abort is
-    // armed.
+    sample_telemetry(epoch_end);
+    // Epoch barriers are the fleet detector's evaluation instants (the last
+    // one follows the drain): the engines have just caught up to real
+    // arrivals, and the driver thread owns all state here. Pure observation
+    // unless abort is armed.
     if (config_.divergence != nullptr &&
         config_.divergence->evaluate() == StabilityVerdict::kDivergent &&
-        config_.abort_on_divergence) {
-      aborted = true;
-      break;
+        config_.abort_on_divergence && have_pending_) {
+      // Stop feeding records and snapshot the horizon stats at this
+      // barrier (canonical shard order) instead of simulating the
+      // exploding queues out to the trace horizon. Work already scheduled
+      // still drains, so the result's completion metrics are well-formed
+      // for the simulated prefix.
+      have_pending_ = false;
+      for (auto& shard : shards_) shard->snapshot_horizon();
     }
     if constexpr (kAuditBuild) {
       // Epoch-barrier sweep, sampled at power-of-two epochs so the audit
@@ -453,19 +466,6 @@ ShardedReplayResult ShardedSim::run() {
     }
   }
   if constexpr (kAuditBuild) audit_fleet();  // final sweep before merging
-  // Post-drain verdict refresh (no-op after an abort: evaluate() skips
-  // signals with no rows newer than their cursor).
-  if (config_.divergence != nullptr) config_.divergence->evaluate();
-
-  if (aborted) {
-    // The scheduled end_time_ horizon snapshots never ran: snapshot every
-    // shard at the abort barrier instead, driver thread, canonical order,
-    // so the merge below covers the simulated prefix.
-    for (auto& shard : shards_) {
-      if (shard->runtime) shard->horizon = shard->runtime->snapshot_server();
-      shard->backbone_horizon = shard->origin->stats();
-    }
-  }
 
   // Merge in canonical shard order (0..S-1), on this thread.
   ShardedReplayResult out;

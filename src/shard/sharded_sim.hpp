@@ -1,10 +1,11 @@
-// Sharded multi-server simulation: S regions, each owning an independent
-// slab Simulator + StackRuntime data plane, synchronized with conservative
-// epoch barriers and exchanging cross-shard traffic through mailboxes.
+// The replay driver: S regions, each owning an independent slab Simulator
+// + StackRuntime data plane, synchronized with conservative epoch barriers
+// and exchanging cross-shard traffic through mailboxes. run_trace_replay
+// (sim/trace_replay.hpp) is this driver with S = 1.
 //
 // Topology. Users are partitioned across shards (shard of user u is
 // u % S); items have a home shard (item % S). Every user request is served
-// by the regional proxy stack exactly as in the unsharded runtime; any
+// by the regional proxy stack exactly as in a one-shard run; any
 // retrieval whose item is homed elsewhere additionally contributes a
 // backbone job on the home region's origin uplink (net/backbone.hpp),
 // delivered after the cross-region latency.
@@ -13,18 +14,21 @@
 // the minimum cross-shard delay: every epoch runs each shard to
 // t_min + L, where t_min is the earliest pending event fleet-wide, so no
 // shard can receive a cross-shard event timestamped inside the window it
-// already executed. Mailboxes are drained at the barrier in canonical
-// order (destination-major, source 0..S-1) and bulk-scheduled into the
-// destination engine.
+// already executed. An epoch also ends early at the arrival of the
+// stream_window-th record not yet fed, which bounds engine occupancy. With
+// S = 1 nothing crosses shards: the lookahead is unbounded, so the epochs
+// are exactly the stream windows, and no origin links, origin gauges, or
+// barrier telemetry rows are built. Mailboxes are drained at the barrier
+// in canonical order (destination-major, source 0..S-1) and bulk-scheduled
+// into the destination engine.
 //
 // Determinism. Results are bit-identical regardless of worker thread
 // count: each shard's RNG stream is counter-derived from the root seed,
 // shards only touch their own state between barriers, and every merge
 // (mailboxes, SimMetrics via RunningStats::merge, ServerStats, backbone
-// stats) happens in canonical shard order on the driver thread. A 1-shard
-// run is bit-identical to the unsharded run_trace_replay path: shard 0
-// inherits the root seed, mailboxes stay empty, and result assembly goes
-// through the same assemble_stack_result arithmetic.
+// stats) happens in canonical shard order on the driver thread. Shard 0
+// inherits the root seed, so a 1-shard run uses the configured seed
+// verbatim.
 #pragma once
 
 #include <cstdint>
@@ -54,26 +58,27 @@ struct ShardedReplayConfig {
   /// Bandwidth of each region's origin uplink.
   double backbone_bandwidth = 1000.0;
   /// Per-shard telemetry (borrowed; must outlive the run; size must equal
-  /// num_shards). Shard s records into plane s between barriers; the
-  /// driver adds origin-uplink gauges and forces a sample row at every
-  /// epoch barrier. Pure observation — results are bit-identical with
-  /// this null or installed. `stack.telemetry` must stay null here: one
-  /// plane cannot serve S independent engines.
+  /// num_shards). Shard s records into plane s between barriers; with
+  /// S > 1 the driver adds origin-uplink gauges and forces a sample row at
+  /// every epoch barrier. Pure observation — results are bit-identical
+  /// with this null or installed. One plane cannot serve S independent
+  /// engines, so `stack.telemetry` may be set instead only when S = 1.
   class TelemetryFleet* telemetry = nullptr;
 
   /// Fleet divergence detector (borrowed; must outlive the run). Requires
-  /// `telemetry`: init() attaches it to every shard's sealed plane under a
-  /// "shard<s>/" signal-name prefix, so the fleet verdict is naturally the
-  /// worst shard's. Evaluated on the driver thread at every epoch barrier
-  /// right after the forced telemetry sample, plus once after the loop
-  /// drains. Pure observation — bit-identical results with this null or
-  /// installed — unless `abort_on_divergence` is also set.
-  /// `stack.divergence` must stay null here, same as `stack.telemetry`.
+  /// `telemetry` (or, at S = 1, `stack.telemetry`): init() attaches it to
+  /// every shard's sealed plane, under a "shard<s>/" signal-name prefix
+  /// when S > 1, so the fleet verdict is naturally the worst shard's.
+  /// Evaluated on the driver thread at every epoch barrier, the last one
+  /// after the drain. Pure observation — bit-identical results with this
+  /// null or installed — unless `abort_on_divergence` is also set.
+  /// `stack.divergence` must stay null here.
   class DivergenceDetector* divergence = nullptr;
-  /// Stop the epoch loop as soon as the fleet verdict turns divergent:
+  /// Stop feeding records as soon as the fleet verdict turns divergent:
   /// horizon stats are snapshotted at the abort barrier on the driver
   /// thread (canonical shard order) instead of simulating every shard's
-  /// exploding queue out to the trace horizon.
+  /// exploding queue out to the trace horizon; work already scheduled
+  /// still drains. The result then covers only the simulated prefix.
   bool abort_on_divergence = false;
 
   void validate() const;
@@ -145,11 +150,12 @@ class ShardedSim {
   /// Shared constructor body: metadata scan + per-shard engine build.
   void init(TraceSource& source, const PolicyFactory& make_policy);
   /// Feeds pending records with arrival time ≤ epoch_end into their shard
-  /// engines (global trace order), interleaving the fleet-wide warmup
-  /// events at the warmup boundary record and the horizon snapshots after
-  /// the last record — the same engine insertion sequence per shard that
-  /// scheduling the whole partitioned trace up front produced.
-  void feed_records(double epoch_end);
+  /// engines (global trace order), at most stream_window of them,
+  /// interleaving the fleet-wide warmup events at the warmup boundary
+  /// record and the horizon snapshots after the last record. Returns where
+  /// the epoch ends: epoch_end, or the arrival of the first unfed record
+  /// when the window filled first.
+  double feed_records(double epoch_end);
   /// Schedules begin_measurement / origin stat resets on every shard at
   /// the global warmup instant (canonical shard order).
   void schedule_warmup_events();
@@ -161,15 +167,14 @@ class ShardedSim {
   void exchange_mailboxes();
   /// Control-plane barrier step: averages the per-shard governors'
   /// congestion signals (canonical shard order, driver thread) and pushes
-  /// the fleet mean back into every governor. No-op when S = 1 or the run
-  /// is ungoverned, so those paths stay bit-identical to the unsharded /
-  /// pre-control-plane runtime.
+  /// the fleet mean back into every governor. No-op when S = 1 (a lone
+  /// governor keeps its own signal) or the run is ungoverned.
   void exchange_setpoints();
   /// Earliest pending event across the fleet (+inf when drained).
   double fleet_next_event_time();
   /// Telemetry barrier step: refreshes every shard's origin-uplink gauges
   /// and forces a sample row at the epoch boundary (driver thread,
-  /// canonical order). No-op when the run carries no telemetry fleet.
+  /// canonical order). No-op without telemetry or origin links.
   void sample_telemetry(double now);
   /// SPECPF_AUDIT epoch-barrier sweep: audits every shard's engine slab and
   /// stack slice on the driver thread, throwing ContractViolation (with the

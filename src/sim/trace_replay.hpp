@@ -7,6 +7,11 @@
 // own logs (Trace::load_csv_file). Timing semantics are open-loop: requests
 // fire at their recorded instants regardless of fetch completions, matching
 // the paper's fixed-λ assumption.
+//
+// TraceReplayConfig is the per-shard stack configuration of the one replay
+// driver, ShardedSim (shard/sharded_sim.hpp). run_trace_replay is that
+// driver with one shard, run under the caller's policy, telemetry plane,
+// and detector.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +61,8 @@ struct TraceReplayConfig {
 
   /// Prefetch governor by name (control/governor.hpp): noop, token-<rate>,
   /// aimd-<setpoint>, conf-<precision>. Empty = ungoverned (today's
-  /// open-loop behaviour). The sharded driver builds one instance per
-  /// shard from the same name.
+  /// open-loop behaviour). The driver builds one instance per shard from
+  /// the same name.
   std::string governor;
   /// Tuning knobs behind the name's primary parameter.
   GovernorConfig governor_config;
@@ -70,40 +75,42 @@ struct TraceReplayConfig {
 
   /// Telemetry plane to record into (borrowed; must outlive the run).
   /// Pure observation: results are bit-identical with this null or
-  /// installed. The *sharded* driver takes a TelemetryFleet through its
-  /// own config instead and requires this to stay null (one plane cannot
-  /// serve S independent engines).
+  /// installed. Serves a one-shard run only; a fleet of S > 1 takes a
+  /// TelemetryFleet through ShardedReplayConfig (one plane cannot serve S
+  /// independent engines).
   class TelemetryPlane* telemetry = nullptr;
 
   /// Online divergence detector (obs/divergence.hpp; borrowed, must
-  /// outlive the run). Requires `telemetry`: the replay attaches it to the
-  /// sealed plane (configuring it with defaults and watching the standard
-  /// gauge set if the caller did neither) and evaluates it on the driver
-  /// thread at every stream-window boundary plus once after the drain.
+  /// outlive the run). Requires `telemetry`: run_trace_replay attaches it
+  /// to the sealed plane (configuring it with defaults and watching the
+  /// standard gauge set if the caller did neither) and evaluates it on the
+  /// driver thread at every epoch barrier, the last one after the drain.
   /// Pure observation — results are bit-identical with this null or
-  /// installed — unless `abort_on_divergence` is also set. The sharded
-  /// driver takes its detector through its own config and requires this to
+  /// installed — unless `abort_on_divergence` is also set. ShardedSim
+  /// takes its detector through ShardedReplayConfig and requires this to
   /// stay null.
   class DivergenceDetector* divergence = nullptr;
-  /// Terminate the replay as soon as the detector's verdict turns
-  /// divergent: stop scheduling records and snapshot server stats at the
-  /// abort instant instead of simulating an exploding queue to the
-  /// horizon. The result then covers only the simulated prefix; callers
-  /// read the detector for the verdict and onset.
+  /// Stop feeding records as soon as the detector's verdict turns
+  /// divergent: snapshot server stats at that barrier and drain only the
+  /// work already scheduled, instead of simulating an exploding queue to
+  /// the horizon. The result then covers only the simulated prefix;
+  /// callers read the detector for the verdict and onset.
   bool abort_on_divergence = false;
 
-  /// Streaming granularity: how many trace records to schedule into the
-  /// engine before running it forward. Bounds engine occupancy at
-  /// ~stream_window events (plus in-flight fetches) regardless of trace
-  /// length — the knob that keeps billion-request replays at bounded RSS.
-  /// Traces shorter than one window replay exactly like the old
-  /// bulk-schedule-everything path.
+  /// Streaming granularity, for any shard count: the most trace records
+  /// one epoch feeds into the engines before running them forward (an
+  /// epoch ends at the arrival of the stream_window-th unfed record).
+  /// Bounds engine occupancy at ~stream_window events (plus in-flight
+  /// fetches) regardless of trace length — the knob that keeps
+  /// billion-request replays at bounded RSS. With one shard the epochs are
+  /// exactly these windows.
   std::size_t stream_window = 65536;
 
   void validate() const;
 };
 
-/// Replays `trace` (must be time-ordered) under `policy`.
+/// Replays `trace` (must be time-ordered) under `policy` — ShardedSim with
+/// one shard, borrowing `policy` and the config's plane and detector.
 ProxySimResult run_trace_replay(const Trace& trace,
                                 const TraceReplayConfig& config,
                                 PrefetchPolicy& policy);
@@ -116,9 +123,9 @@ ProxySimResult run_trace_replay(TraceSource& source,
                                 const TraceReplayConfig& config,
                                 PrefetchPolicy& policy);
 
-/// Fresh predictor plane for a replay kind — shared with the sharded
-/// driver, which needs one independent plane per shard (`num_users` sizes
-/// the plane's user-indexed history slab). kOracle is not replayable.
+/// Fresh predictor plane for a replay kind, one per shard (`num_users`
+/// sizes the plane's user-indexed history slab). kOracle is not
+/// replayable.
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
     bool use_legacy);

@@ -48,8 +48,8 @@ class ProgressTraceSource final : public TraceSource {
   }
 
   std::uint64_t records_this_pass() const noexcept { return records_; }
-  /// 1-based once the consumer has reset() for its first scan (both replay
-  /// frontends reset before every pass, including the first).
+  /// 1-based once the consumer has reset() for its first scan (the replay
+  /// driver resets before every pass, including the first).
   std::uint64_t pass() const noexcept { return pass_; }
 
  private:
