@@ -1,4 +1,4 @@
-// Cache-plane perf/memory recorder: measures the slab-backed arena cache
+// Cache-plane perf/memory recorder: measures the block-arena cache
 // plane against the legacy per-user TaggedCache fleet — resident bytes per
 // user (via the util/mem RSS probe) under the million-user sweep's own
 // workload shape, cold construction of a million-user fleet, protocol-op

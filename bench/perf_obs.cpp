@@ -18,6 +18,7 @@
 //
 // Usage: perf_obs [output.json] [--check-obs-overhead]
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -53,6 +54,12 @@ double best_time(const std::function<void()>& body) {
   }
   return best;
 }
+
+/// Compiler barrier in the style of benchmark::DoNotOptimize +
+/// ClobberMemory: the compiler must assume `p` escapes and that all memory
+/// is read and written here, so a timed loop of stores cannot be folded
+/// into a single add.
+inline void escape(void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
 struct Metric {
   std::string name;
@@ -152,9 +159,20 @@ int main(int argc, char** argv) {
     TelemetryRegistry reg;
     const auto c = reg.register_counter("bench.counter");
     constexpr std::size_t kAdds = 1 << 22;
+    std::uint64_t issued = 0;
     const double secs = best_time([&] {
-      for (std::size_t i = 0; i < kAdds; ++i) reg.add(c);
+      for (std::size_t i = 0; i < kAdds; ++i) {
+        reg.add(c);
+        escape(&reg);
+      }
+      issued += kAdds;
     });
+    if (reg.counter(c) != issued) {
+      std::fprintf(stderr, "counter reads %llu after %llu adds\n",
+                   static_cast<unsigned long long>(reg.counter(c)),
+                   static_cast<unsigned long long>(issued));
+      return 1;
+    }
     metrics.push_back({"obs.registry.counter_adds_per_sec",
                        static_cast<double>(kAdds) / secs, "ops/s"});
   }

@@ -19,19 +19,21 @@
 //
 // Every run goes through the replay driver (shard/sharded_sim.hpp); with
 // --shards > 1 the population is split across a fleet: one engine per
-// shard, conservative epoch barriers, cross-shard traffic on the backbone
-// — and --threads worker threads drive the shards in parallel with
-// bit-identical results.
+// shard, conservative epoch barriers, cross-shard traffic on the backbone.
+// --threads takes a comma list of worker-thread counts: every policy runs
+// once per count, the table reports wall-clock speedup over the first
+// count, and the merged results must be bit-identical across the counts —
+// otherwise the program exits 1.
 //
 //   ./million_user_sweep --users 1000000 --requests 3000000
-//   ./million_user_sweep --shards 8 --threads 8 --policy threshold-a
+//   ./million_user_sweep --shards 8 --threads 1,2,4,8 --policy threshold-a
 //   ./million_user_sweep --requests 100000000 --stream       # out-of-core
 //   ./million_user_sweep --convert big.spt --stream --requests 100000000
 //   ./million_user_sweep --trace-file big.spt --shards 4
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,50 @@ bool reset_peak_rss() {
   return std::fclose(f) == 0 && wrote;
 }
 
+std::vector<std::size_t> parse_thread_list(const std::string& csv) {
+  std::vector<std::size_t> out;
+  for (const std::string& tok : split_csv(csv)) {
+    try {
+      out.push_back(static_cast<std::size_t>(std::stoul(tok)));
+    } catch (...) {
+      std::fprintf(stderr, "ignoring malformed thread count '%s'\n",
+                   tok.c_str());
+    }
+  }
+  if (out.empty()) out.push_back(1);
+  return out;
+}
+
+/// Every simulated quantity of a run in hex-float form, so two runs
+/// compare bit-for-bit (the determinism check across thread counts).
+std::string fingerprint(const ShardedReplayResult& sr) {
+  const ProxySimResult& r = sr.merged;
+  const BackboneStats& b = sr.backbone;
+  std::string out = r.policy;
+  char buf[40];
+  for (double v :
+       {r.mean_access_time, r.access_time_std_error, r.access_time_p50,
+        r.access_time_p95, r.access_time_p99, r.hit_ratio,
+        r.server_utilization, r.retrieval_time_per_request,
+        r.retrievals_per_request, r.hprime_estimate,
+        r.prefetch_useful_fraction, r.mean_inflight_wait,
+        r.mean_demand_sojourn, r.peak_queue_depth, r.peak_slowdown,
+        b.mean_sojourn, b.utilization, b.total_service_demand,
+        b.peak_queue_depth, b.peak_slowdown}) {
+    std::snprintf(buf, sizeof buf, " %a", v);
+    out += buf;
+  }
+  for (std::uint64_t v :
+       {r.requests, r.demand_jobs, r.prefetch_jobs,
+        r.wasted_prefetch_evictions, r.inflight_hits, r.throttled_prefetches,
+        b.demand_jobs, b.prefetch_jobs, b.completed, sr.epochs,
+        sr.cross_shard_events}) {
+    out += ' ';
+    out += std::to_string(v);
+  }
+  return out;
+}
+
 /// Streams `source` to CSV with round-trip-exact timestamp precision,
 /// without materializing a Trace.
 bool save_csv_streaming(const std::string& path, TraceSource& source) {
@@ -112,7 +158,8 @@ int main(int argc, char** argv) {
   args.add_flag("bandwidth", "20000", "per-region link bandwidth (pages/s)");
   args.add_flag("shards", "1", "number of shards");
   args.add_flag("threads", "1",
-                "worker threads for the shard driver (0 = hardware)");
+                "comma-separated worker-thread counts for the shard driver "
+                "(0 = hardware); each policy runs once per count");
   args.add_flag("policy", "none,threshold-a",
                 "comma-separated policies: none|threshold-a|threshold-b|"
                 "fixed-<theta>|topk-<k>|adaptive-<w>|qos-<rho>");
@@ -126,7 +173,7 @@ int main(int argc, char** argv) {
                 "conf-<precision> (empty = ungoverned)");
   args.add_flag("legacy-caches", "false",
                 "run the legacy per-user TaggedCache fleet instead of the "
-                "slab-backed arena cache plane");
+                "block-arena cache plane");
   args.add_flag("legacy-predictors", "false",
                 "run the legacy virtual Predictor tables instead of the "
                 "slab-backed SoA predictor plane");
@@ -264,7 +311,8 @@ int main(int argc, char** argv) {
   }
 
   const auto shards = static_cast<std::size_t>(args.get_int("shards"));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads"));
+  const std::vector<std::size_t> thread_counts =
+      parse_thread_list(args.get_string("threads"));
 
   // --progress wraps whatever supply was selected in the heartbeat
   // decorator; in-RAM traces go through a TraceVectorSource view so they
@@ -283,7 +331,6 @@ int main(int argc, char** argv) {
 
   ShardedReplayConfig sharded_cfg;
   sharded_cfg.num_shards = shards;
-  sharded_cfg.num_threads = threads;
   sharded_cfg.backbone_bandwidth = args.get_double("backbone-bandwidth");
   sharded_cfg.backbone_latency = args.get_double("backbone-latency");
   TraceReplayConfig& replay_cfg = sharded_cfg.stack;
@@ -298,83 +345,114 @@ int main(int argc, char** argv) {
   replay_cfg.stream_window =
       static_cast<std::size_t>(args.get_int("stream-window"));
 
+  // The simulated columns come first (CI diffs policy … backbone jobs
+  // between runs); wall-clock and memory columns follow.
   Table table({"policy", "access time", "hit ratio", "rho", "demand jobs",
                "prefetch jobs", "throttled", "inflight hits", "backbone jobs",
-               "wall s", "req/s", "peak MB", "B/user"});
+               "epochs", "cross-shard", "threads", "wall s", "req/s",
+               "speedup", "peak MB", "B/user"});
   table.set_precision(4);
+  std::string nondeterministic;  // policies whose thread counts disagree
   for (const std::string& name : split_csv(args.get_string("policy"))) {
     const PolicyFactory factory = policy_factory(name);
-    const bool peak_reset = reset_peak_rss();
-    const MemoryUsage mem_before = read_memory_usage();
-    t0 = Clock::now();
-    std::unique_ptr<TelemetryFleet> fleet;
-    if (telemetry_on) {
-      fleet = std::make_unique<TelemetryFleet>(tele_cfg, shards);
-      sharded_cfg.telemetry = fleet.get();
-    }
-    const ShardedReplayResult sr =
-        progress ? run_sharded_replay(*progress, sharded_cfg, factory)
-        : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
-                 : run_sharded_replay(*stream, sharded_cfg, factory);
-    const ProxySimResult& r = sr.merged;
-    const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (args.get_bool("per-shard-stats")) {
-      std::printf("policy %s per-shard breakdown:\n", name.c_str());
-      for (std::size_t s = 0; s < sr.num_shards; ++s) {
-        const ShardLoadStats& load = sr.shard_load[s];
-        std::printf(
-            "  shard %zu: %llu requests, %llu events, mbox %llu out / "
-            "%llu in\n",
-            s, static_cast<unsigned long long>(sr.per_shard[s].requests),
-            static_cast<unsigned long long>(load.events_executed),
-            static_cast<unsigned long long>(load.mailbox_sent),
-            static_cast<unsigned long long>(load.mailbox_received));
+    double base_secs = 0.0;
+    std::string reference;
+    bool deterministic = true;
+    for (std::size_t run = 0; run < thread_counts.size(); ++run) {
+      const std::size_t threads = thread_counts[run];
+      sharded_cfg.num_threads = threads;
+      const bool peak_reset = reset_peak_rss();
+      const MemoryUsage mem_before = read_memory_usage();
+      t0 = Clock::now();
+      // Telemetry records on the first thread count only; it is pure
+      // observation, so the later runs still reproduce the same results.
+      std::unique_ptr<TelemetryFleet> fleet;
+      sharded_cfg.telemetry = nullptr;
+      if (telemetry_on && run == 0) {
+        fleet = std::make_unique<TelemetryFleet>(tele_cfg, shards);
+        sharded_cfg.telemetry = fleet.get();
       }
-    }
-    if (!trace_path.empty()) {
-      const std::string out = suffixed_path(trace_path, name);
-      if (!write_chrome_trace(out, *fleet)) {
-        std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+      const ShardedReplayResult sr =
+          progress ? run_sharded_replay(*progress, sharded_cfg, factory)
+          : ram    ? run_sharded_replay(*ram, sharded_cfg, factory)
+                   : run_sharded_replay(*stream, sharded_cfg, factory);
+      const ProxySimResult& r = sr.merged;
+      const double secs =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      if (args.get_bool("per-shard-stats")) {
+        std::printf("policy %s, %zu threads, per-shard breakdown:\n",
+                    name.c_str(), threads);
+        for (std::size_t s = 0; s < sr.num_shards; ++s) {
+          const ShardLoadStats& load = sr.shard_load[s];
+          std::printf(
+              "  shard %zu: %llu requests, %llu events, mbox %llu out / "
+              "%llu in\n",
+              s, static_cast<unsigned long long>(sr.per_shard[s].requests),
+              static_cast<unsigned long long>(load.events_executed),
+              static_cast<unsigned long long>(load.mailbox_sent),
+              static_cast<unsigned long long>(load.mailbox_received));
+        }
       }
-    }
-    if (!series_path.empty()) {
-      const std::string out = suffixed_path(series_path, name);
-      if (!write_timeseries_csv(out, *fleet)) {
-        std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+      if (fleet && !trace_path.empty()) {
+        const std::string out = suffixed_path(trace_path, name);
+        if (!write_chrome_trace(out, *fleet)) {
+          std::fprintf(stderr, "cannot write trace '%s'\n", out.c_str());
+        }
       }
+      if (fleet && !series_path.empty()) {
+        const std::string out = suffixed_path(series_path, name);
+        if (!write_timeseries_csv(out, *fleet)) {
+          std::fprintf(stderr, "cannot write series '%s'\n", out.c_str());
+        }
+      }
+      if (run == 0) {
+        base_secs = secs;
+        reference = fingerprint(sr);
+      } else if (fingerprint(sr) != reference) {
+        deterministic = false;
+      }
+      // Runtime footprint per user: growth of the RSS high-water mark over
+      // this run (per-user caches + in-flight bookkeeping + predictor). The
+      // mark was reset to the current RSS before the run, so every row
+      // reports its own peak; without the reset a later row would only see
+      // its growth past an earlier row's peak.
+      const MemoryUsage mem_after = read_memory_usage();
+      Cell run_bytes_per_user = std::string("n/a");
+      if (peak_reset) {
+        const std::size_t before = mem_before.peak_resident_bytes;
+        const std::size_t after = mem_after.peak_resident_bytes;
+        run_bytes_per_user = after > before
+                                 ? static_cast<double>(after - before) /
+                                       static_cast<double>(population)
+                                 : 0.0;
+      }
+      table.add_row({r.policy, r.mean_access_time, r.hit_ratio,
+                     r.server_utilization,
+                     static_cast<std::int64_t>(r.demand_jobs),
+                     static_cast<std::int64_t>(r.prefetch_jobs),
+                     static_cast<std::int64_t>(r.throttled_prefetches),
+                     static_cast<std::int64_t>(r.inflight_hits),
+                     static_cast<std::int64_t>(sr.backbone.jobs()),
+                     static_cast<std::int64_t>(sr.epochs),
+                     static_cast<std::int64_t>(sr.cross_shard_events),
+                     static_cast<std::int64_t>(threads), secs,
+                     static_cast<double>(r.requests) / secs, base_secs / secs,
+                     static_cast<double>(mem_after.peak_resident_bytes) / 1e6,
+                     run_bytes_per_user});
     }
-    // Runtime footprint per user: growth of the RSS high-water mark over
-    // this run (per-user caches + in-flight bookkeeping + predictor). The
-    // mark was reset to the current RSS before the run, so every row
-    // reports its own peak; without the reset a later row would only see
-    // its growth past an earlier row's peak.
-    const MemoryUsage mem_after = read_memory_usage();
-    Cell run_bytes_per_user = std::string("n/a");
-    if (peak_reset) {
-      const std::size_t before = mem_before.peak_resident_bytes;
-      const std::size_t after = mem_after.peak_resident_bytes;
-      run_bytes_per_user = after > before
-                               ? static_cast<double>(after - before) /
-                                     static_cast<double>(population)
-                               : 0.0;
-    }
-    table.add_row({r.policy, r.mean_access_time, r.hit_ratio,
-                   r.server_utilization,
-                   static_cast<std::int64_t>(r.demand_jobs),
-                   static_cast<std::int64_t>(r.prefetch_jobs),
-                   static_cast<std::int64_t>(r.throttled_prefetches),
-                   static_cast<std::int64_t>(r.inflight_hits),
-                   static_cast<std::int64_t>(sr.backbone.jobs()), secs,
-                   static_cast<double>(r.requests) / secs,
-                   static_cast<double>(mem_after.peak_resident_bytes) / 1e6,
-                   run_bytes_per_user});
+    if (!deterministic) nondeterministic += ' ' + name;
   }
   std::printf("\n%s\n", table.to_markdown().c_str());
   std::printf("cache backend: %s, governor: %s, supply: %s\n",
               replay_cfg.use_legacy_caches ? "legacy TaggedCache fleet"
-                                           : "slab-backed arena plane",
+                                           : "block-arena plane",
               replay_cfg.governor.empty() ? "(ungoverned)"
                                           : replay_cfg.governor.c_str(),
               ram ? "in-RAM trace" : "streamed source");
-  return 0;
+  if (thread_counts.size() > 1) {
+    std::printf("determinism across thread counts: %s%s\n",
+                nondeterministic.empty() ? "OK (bit-identical)" : "FAILED for",
+                nondeterministic.c_str());
+  }
+  return nondeterministic.empty() ? 0 : 1;
 }

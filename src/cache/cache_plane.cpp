@@ -34,9 +34,9 @@ struct TaggedUserState {
   }
 };
 
-/// The arena backend: policy entries in shared slabs, protocol state in one
-/// flat vector. Policy is a compile-time parameter; every method below is
-/// fully monomorphic after the make_cache_plane dispatch.
+/// The arena backend: policy entries in per-user arena blocks, protocol
+/// state in one flat vector. Policy is a compile-time parameter; every
+/// method below is fully monomorphic after the make_cache_plane dispatch.
 template <typename Policy>
 class ArenaCachePlane final : public CachePlane {
  public:
@@ -234,43 +234,18 @@ std::unique_ptr<CachePlane> make_cache_plane(CacheKind kind,
   if (use_legacy) {
     return std::make_unique<LegacyCachePlane>(kind, config);
   }
-  // The once-per-run dispatch: policy × residency mode. Small capacities
-  // take the per-user-block arenas (inline residency scan, no hash index
-  // bytes at all); larger ones the shared-slab arenas over the fleet-wide
-  // FlatIndexMap. Both are bit-identical to the legacy caches.
-  const bool small = config.capacity <= arena::kInlineResidencyCapacity;
+  // The once-per-run policy dispatch.
   switch (kind) {
     case CacheKind::kLru:
-      return small
-                 ? std::unique_ptr<CachePlane>(
-                       std::make_unique<ArenaCachePlane<arena::SmallLruArena>>(
-                           config))
-                 : std::make_unique<ArenaCachePlane<arena::LruArena>>(config);
+      return std::make_unique<ArenaCachePlane<arena::LruArena>>(config);
     case CacheKind::kLfu:
-      return small
-                 ? std::unique_ptr<CachePlane>(
-                       std::make_unique<ArenaCachePlane<arena::SmallLfuArena>>(
-                           config))
-                 : std::make_unique<ArenaCachePlane<arena::LfuArena>>(config);
+      return std::make_unique<ArenaCachePlane<arena::LfuArena>>(config);
     case CacheKind::kFifo:
-      return small
-                 ? std::unique_ptr<CachePlane>(
-                       std::make_unique<ArenaCachePlane<arena::SmallFifoArena>>(
-                           config))
-                 : std::make_unique<ArenaCachePlane<arena::FifoArena>>(config);
+      return std::make_unique<ArenaCachePlane<arena::FifoArena>>(config);
     case CacheKind::kClock:
-      return small
-                 ? std::unique_ptr<CachePlane>(
-                       std::make_unique<
-                           ArenaCachePlane<arena::SmallClockArena>>(config))
-                 : std::make_unique<ArenaCachePlane<arena::ClockArena>>(config);
+      return std::make_unique<ArenaCachePlane<arena::ClockArena>>(config);
     case CacheKind::kRandom:
-      return small
-                 ? std::unique_ptr<CachePlane>(
-                       std::make_unique<
-                           ArenaCachePlane<arena::SmallRandomArena>>(config))
-                 : std::make_unique<ArenaCachePlane<arena::RandomArena>>(
-                       config);
+      return std::make_unique<ArenaCachePlane<arena::RandomArena>>(config);
   }
   SPECPF_ASSERT(false && "unknown cache kind");
   return nullptr;

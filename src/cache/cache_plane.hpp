@@ -4,10 +4,11 @@
 // state, replacing the legacy vector of unique_ptr<TaggedCache> (each
 // wrapping a virtual Cache full of list/map nodes). Two backends:
 //
-//   * ArenaCachePlane<Policy> — the default: all entries live in the shared
-//     CacheArena slabs (cache/cache_arena.hpp), residency is one flat hash
-//     for the whole fleet, and the eviction policy is a compile-time
-//     template parameter dispatched ONCE per run in make_cache_plane. After
+//   * ArenaCachePlane<Policy> — the default: every user's entries live in a
+//     fixed block of the policy's CacheArena (cache/cache_arena.hpp),
+//     residency is a scan of that block's occupied prefix, and the eviction
+//     policy is a compile-time template parameter dispatched ONCE per run
+//     in make_cache_plane — one arena per policy at every capacity. After
 //     that single dispatch, a request's cache work (lookup, tag protocol,
 //     eviction) runs with no virtual calls and no per-hook std::function —
 //     one monomorphic virtual hop into the plane per operation, total.
@@ -91,10 +92,11 @@ class CachePlane {
   virtual void set_eviction_observer(EvictionObserver observer) = 0;
 
   /// Deep-invariant sweep (util/audit.hpp): the arena backend walks its
-  /// policy arena (chains, free lists, residency index) plus the §4 counter
-  /// sanity (nhit <= naccess, first uses <= inserts). The legacy backend
-  /// checks the counters only — its std::list/map entries are already under
-  /// ASan's eye. Cold path; called from tests and SPECPF_AUDIT sweeps.
+  /// policy arena (per-user chains and occupied prefixes) plus the §4
+  /// counter sanity (nhit <= naccess, first uses <= inserts). The legacy
+  /// backend checks the counters only — its std::list/map entries are
+  /// already under ASan's eye. Cold path; called from tests and
+  /// SPECPF_AUDIT sweeps.
   virtual void audit(AuditReport& report) const = 0;
 };
 

@@ -1,7 +1,7 @@
 // The one cache-kind dispatch point. Every frontend (proxy sim, trace
 // replay, sharded driver, benches) names eviction policies through this
 // enum, and both cache backends — the legacy virtual `Cache` objects and
-// the slab-backed arena plane (cache/cache_plane.hpp) — select their policy
+// the block-arena plane (cache/cache_plane.hpp) — select their policy
 // here, so adding a policy is a one-file change.
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "cache/cache_arena.hpp"
 #include "des/simulator.hpp"
 #include "predict/predictor_plane.hpp"
 #include "sim/stack_runtime.hpp"
@@ -17,6 +18,7 @@ void ProxySimConfig::validate() const {
   SPECPF_EXPECTS(think_time_mean > 0.0);
   SPECPF_EXPECTS(item_size > 0.0);
   SPECPF_EXPECTS(cache_capacity >= 1);
+  SPECPF_EXPECTS(cache_capacity <= arena::kMaxCacheCapacity);
   SPECPF_EXPECTS(max_prefetch_per_request >= 1);
   SPECPF_EXPECTS(duration > 0.0);
   SPECPF_EXPECTS(warmup >= 0.0);

@@ -36,7 +36,7 @@ struct ProxySimConfig {
   double think_time_mean = 0.5;        ///< gap between in-session requests
   double item_size = 1.0;              ///< size of every page (units)
 
-  std::size_t cache_capacity = 64;
+  std::size_t cache_capacity = 64;  ///< 1 .. arena::kMaxCacheCapacity
   /// Eviction policy (the fleet-wide enum from cache/factory.hpp).
   using CacheKind = specpf::CacheKind;
   CacheKind cache_kind = CacheKind::kLru;
@@ -58,12 +58,12 @@ struct ProxySimConfig {
   /// tests and the perf_stack baseline; the flat hash is the default).
   bool use_tree_inflight = false;
 
-  /// Use the legacy per-user TaggedCache fleet instead of the slab-backed
-  /// arena cache plane (reference for differential tests; the arena is the
+  /// Use the legacy per-user TaggedCache fleet instead of the block-arena
+  /// cache plane (reference for differential tests; the arena is the
   /// default).
   bool use_legacy_caches = false;
 
-  /// Use the legacy virtual Predictor tables instead of the slab-backed
+  /// Use the legacy virtual Predictor tables instead of the block-arena
   /// SoA predictor plane (reference for differential tests and the
   /// perf_stack baseline; the plane is the default).
   bool use_legacy_predictors = false;

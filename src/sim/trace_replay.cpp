@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "cache/cache_arena.hpp"
 #include "shard/sharded_sim.hpp"
 #include "util/contract.hpp"
 
@@ -11,6 +12,7 @@ void TraceReplayConfig::validate() const {
   SPECPF_EXPECTS(bandwidth > 0.0);
   SPECPF_EXPECTS(item_size > 0.0);
   SPECPF_EXPECTS(cache_capacity >= 1);
+  SPECPF_EXPECTS(cache_capacity <= arena::kMaxCacheCapacity);
   SPECPF_EXPECTS(max_prefetch_per_request >= 1);
   SPECPF_EXPECTS(warmup_fraction >= 0.0 && warmup_fraction < 1.0);
   SPECPF_EXPECTS(governor.empty() || is_governor_name(governor));

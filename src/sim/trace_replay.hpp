@@ -30,7 +30,7 @@ namespace specpf {
 struct TraceReplayConfig {
   double bandwidth = 50.0;
   double item_size = 1.0;
-  std::size_t cache_capacity = 64;
+  std::size_t cache_capacity = 64;  ///< 1 .. arena::kMaxCacheCapacity
   ProxySimConfig::CacheKind cache_kind = ProxySimConfig::CacheKind::kLru;
 
   /// Access model (the fleet-wide enum from predict/factory.hpp). Replay
@@ -49,12 +49,12 @@ struct TraceReplayConfig {
   /// tests and the perf_stack baseline; the flat hash is the default).
   bool use_tree_inflight = false;
 
-  /// Use the legacy per-user TaggedCache fleet instead of the slab-backed
-  /// arena cache plane (reference for differential tests; the arena is the
+  /// Use the legacy per-user TaggedCache fleet instead of the block-arena
+  /// cache plane (reference for differential tests; the arena is the
   /// default).
   bool use_legacy_caches = false;
 
-  /// Use the legacy virtual Predictor tables instead of the slab-backed
+  /// Use the legacy virtual Predictor tables instead of the block-arena
   /// SoA predictor plane (reference for differential tests and the
   /// perf_stack baseline; the plane is the default).
   bool use_legacy_predictors = false;

@@ -1,4 +1,4 @@
-// Cache-plane differential tests: the slab-backed arena backend must be
+// Cache-plane differential tests: the block-arena backend must be
 // bit-identical to the legacy per-user TaggedCache fleet — same access
 // outcomes, residency, sizes, ĥ' estimates, and eviction victims (with
 // tags) — across all five eviction policies under long random protocol
@@ -7,9 +7,13 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cache/cache_plane.hpp"
+#include "sim/proxy_sim.hpp"
+#include "sim/trace_replay.hpp"
+#include "util/contract.hpp"
 #include "util/mem.hpp"
 #include "util/rng.hpp"
 
@@ -47,9 +51,7 @@ struct PlaneUnderTest {
 };
 
 /// Drives both backends through an identical random §4 protocol sequence
-/// and checks every observable after every operation. Capacity selects the
-/// arena's residency mode: ≤ kInlineResidencyCapacity takes the per-user
-/// block arenas, above it the shared-slab + FlatIndexMap arenas.
+/// and checks every observable after every operation.
 void run_differential(CacheKind kind, std::size_t capacity,
                       std::uint64_t seed) {
   CachePlaneConfig config;
@@ -104,25 +106,64 @@ void run_differential(CacheKind kind, std::size_t capacity,
   EXPECT_EQ(ta.prefetch_first_uses, tl.prefetch_first_uses);
 }
 
-class CachePlaneDifferential : public ::testing::TestWithParam<CacheKind> {};
+class CachePlaneDifferential
+    : public ::testing::TestWithParam<std::tuple<CacheKind, std::size_t>> {};
 
-TEST_P(CachePlaneDifferential, SmallArenaMatchesLegacyOnRandomProtocolOps) {
+TEST_P(CachePlaneDifferential, ArenaMatchesLegacyOnRandomProtocolOps) {
+  const auto [kind, capacity] = GetParam();
   for (std::uint64_t seed : {11ULL, 1111ULL}) {
-    run_differential(GetParam(), /*capacity=*/6, seed);
+    run_differential(kind, capacity, seed);
   }
 }
 
-TEST_P(CachePlaneDifferential, MappedArenaMatchesLegacyOnRandomProtocolOps) {
-  for (std::uint64_t seed : {11ULL, 1111ULL}) {
-    run_differential(GetParam(), /*capacity=*/24, seed);
+// 48 slots is wider than any 32-bit per-walk bitmap could track.
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, CachePlaneDifferential,
+    ::testing::Combine(::testing::ValuesIn(kAllKinds),
+                       ::testing::Values(std::size_t{6}, std::size_t{24},
+                                         std::size_t{48})),
+    [](const ::testing::TestParamInfo<CachePlaneDifferential::ParamType>&
+           info) {
+      return std::string(cache_kind_name(std::get<0>(info.param))) + "_cap" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// --- the u16 slot-index capacity limit ---
+
+TEST(CapacityLimit, EveryKindAcceptsTheLargestIndexableCapacityOnly) {
+  ASSERT_EQ(arena::kMaxCacheCapacity, 65534u);
+  CachePlaneConfig config;
+  config.num_users = 2;
+  for (CacheKind kind : kAllKinds) {
+    SCOPED_TRACE(cache_kind_name(kind));
+    config.capacity = arena::kMaxCacheCapacity;
+    auto plane = make_cache_plane(kind, config, /*use_legacy=*/false);
+    for (ItemId item = 0; item < 100; ++item) plane->admit_demand(1, item);
+    EXPECT_EQ(plane->size(1), 100u);
+    EXPECT_EQ(plane->access(1, 99), AccessOutcome::kHitTagged);
+    AuditReport report;
+    plane->audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+
+    config.capacity = arena::kMaxCacheCapacity + 1;
+    EXPECT_THROW(make_cache_plane(kind, config, /*use_legacy=*/false),
+                 ContractViolation);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, CachePlaneDifferential,
-                         ::testing::ValuesIn(kAllKinds),
-                         [](const ::testing::TestParamInfo<CacheKind>& info) {
-                           return std::string(cache_kind_name(info.param));
-                         });
+TEST(CapacityLimit, ReplayAndProxyConfigsRejectUnindexableCapacity) {
+  TraceReplayConfig replay;
+  replay.cache_capacity = arena::kMaxCacheCapacity;
+  EXPECT_NO_THROW(replay.validate());
+  replay.cache_capacity = arena::kMaxCacheCapacity + 1;
+  EXPECT_THROW(replay.validate(), ContractViolation);
+
+  ProxySimConfig proxy;
+  proxy.cache_capacity = arena::kMaxCacheCapacity;
+  EXPECT_NO_THROW(proxy.validate());
+  proxy.cache_capacity = arena::kMaxCacheCapacity + 1;
+  EXPECT_THROW(proxy.validate(), ContractViolation);
+}
 
 // --- §4 tag-transition edge cases, pinned identically on both backends ---
 

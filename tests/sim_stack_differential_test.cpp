@@ -1,6 +1,6 @@
 // Differential tests: the flat-hash data plane must reproduce bit-identical
 // ProxySimResults against the legacy std::map in-flight backend, the
-// slab-backed arena cache plane against the legacy per-user TaggedCache
+// block-arena cache plane against the legacy per-user TaggedCache
 // fleet, and the SoA predictor plane against the legacy virtual Predictor
 // tables — across every predictor and cache kind, for the generative proxy
 // sim, trace replay, and a sharded replay. The backends differ only in
@@ -145,9 +145,7 @@ TEST(StackDifferential, TraceReplayArenaCachesMatchLegacyAcrossCacheKinds) {
        {ProxySimConfig::CacheKind::kLru, ProxySimConfig::CacheKind::kLfu,
         ProxySimConfig::CacheKind::kFifo, ProxySimConfig::CacheKind::kClock,
         ProxySimConfig::CacheKind::kRandom}) {
-    // Capacity 8 exercises the per-user-block arenas, 24 the shared-slab +
-    // flat-index arenas (the small/mapped residency dispatch boundary is
-    // arena::kInlineResidencyCapacity = 16).
+    // Capacity 8 is the benchmark workloads' cache size; 24 a wider block.
     for (std::size_t capacity : {std::size_t{8}, std::size_t{24}}) {
       TraceReplayConfig cfg;
       cfg.bandwidth = 60.0;

@@ -3,11 +3,11 @@
 // util/audit.hpp, defined only here, friend of every auditable structure):
 // each test builds a healthy structure, verifies audit() reports nothing,
 // injects exactly the defect class the walker exists to catch — a stale
-// generation or scribbled freed slot in the engine slab, a broken intrusive
-// chain or desynced residency entry in the cache arenas, a free-list cycle,
-// successor-total drift in the context arena, metadata corruption in the
-// robin-hood tables, a demand-count desync in the stack — and asserts the
-// sweep fails with a message naming the defect.
+// generation or scribbled freed slot in the engine slab, a broken or cyclic
+// intrusive chain in the cache arenas, a free-list cycle, successor-total
+// drift in the context arena, metadata corruption in the robin-hood
+// tables, a demand-count desync in the stack — and asserts the sweep fails
+// with a message naming the defect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,26 +37,15 @@ namespace specpf {
 /// struct; the library never defines it, so these mutators are the only
 /// code that can reach into the slabs from outside.
 struct AuditPeer {
-  // --- cache arenas (intrusive-list slab) ---------------------------------
-  static void break_chain(arena::ListArenaBase& a, std::uint32_t user) {
-    // The chain head's prev must be kNull; pointing it anywhere else is the
-    // signature of a botched unlink/splice.
-    a.nodes_[a.users_[user].head].prev = 7;
+  // --- cache arenas (per-user blocks) ------------------------------------
+  static void break_chain(arena::LruArena& a, std::uint32_t user) {
+    // The chain head's prev must be the null slot; pointing it anywhere
+    // else is the signature of a botched unlink/splice.
+    a.node(user, a.users_[user].head).prev = 7;
   }
-  static void desync_residency(arena::ListArenaBase& a, std::uint32_t user,
-                               ItemId item) {
-    // Redirect one residency entry at the wrong slab node.
-    a.map_[arena::residency_key(user, item)] = a.users_[user].head;
-  }
-  static void cycle_free_list(arena::ListArenaBase& a) {
-    // Two fabricated slab nodes linked into a 2-cycle at the free head.
-    const auto n1 = static_cast<arena::NodeIndex>(a.nodes_.size());
-    a.nodes_.emplace_back();
-    const auto n2 = static_cast<arena::NodeIndex>(a.nodes_.size());
-    a.nodes_.emplace_back();
-    a.nodes_[n1].next = n2;
-    a.nodes_[n2].next = n1;
-    a.free_ = n1;
+  static void cycle_chain(arena::LruArena& a, std::uint32_t user) {
+    // Link the tail back to the head: the walk must stop at the revisit.
+    a.node(user, a.users_[user].tail).next = a.users_[user].head;
   }
 
   // --- context arena ------------------------------------------------------
@@ -174,10 +163,9 @@ void expect_failure_containing(const AuditReport& report,
 // Clean sweeps: healthy structures audit clean in every configuration.
 // ---------------------------------------------------------------------------
 
-TEST(AuditClean, CachePlanesAllKindsBothArenaVariants) {
+TEST(AuditClean, CachePlanesAllKindsNarrowAndWideBlocks) {
   for (int k = 0; k < kNumCacheKinds; ++k) {
-    // capacity 4 selects the small (inline-residency) arenas, 48 the
-    // slab + FlatIndexMap arenas; both variants of every policy.
+    // 48 slots is wider than a 32-bit per-walk bitmap could track.
     for (std::size_t capacity : {std::size_t{4}, std::size_t{48}}) {
       CachePlaneConfig cfg;
       cfg.num_users = 16;
@@ -304,11 +292,12 @@ TEST(AuditClean, StackRuntimeEndToEnd) {
 // Corruption injection: every defect class the walkers exist for.
 // ---------------------------------------------------------------------------
 
-/// LRU arena with enough traffic that user 0 has a full chain.
+/// LRU arena with enough traffic that every user has a full chain, on a
+/// block wider than a 32-bit per-walk bitmap.
 arena::LruArena seeded_lru() {
-  arena::LruArena a(/*num_users=*/4, /*capacity=*/6, /*seed=*/1);
+  arena::LruArena a(/*num_users=*/4, /*capacity=*/40, /*seed=*/1);
   for (std::uint32_t user = 0; user < 4; ++user) {
-    for (std::uint32_t i = 0; i < 10; ++i) {
+    for (std::uint32_t i = 0; i < 50; ++i) {
       a.insert(user, /*item=*/user * 100 + i, arena::EntryTag::kTagged,
                [](ItemId, arena::EntryTag) {});
     }
@@ -328,21 +317,12 @@ TEST(AuditInjection, CacheArenaBrokenIntrusiveChain) {
   expect_failure_containing(report, "broken prev link");
 }
 
-TEST(AuditInjection, CacheArenaResidencyDesync) {
+TEST(AuditInjection, CacheArenaChainCycle) {
   arena::LruArena a = seeded_lru();
-  // Remap the residency entry of an item user 0 still caches (items 4..9
-  // survive with capacity 6; the chain head is item 9, so desync item 5).
-  AuditPeer::desync_residency(a, 0, 5);
+  AuditPeer::cycle_chain(a, 2);
   AuditReport report;
   a.audit(report);
-  expect_failure_containing(report, "residency index");
-}
-
-TEST(AuditInjection, CacheArenaFreeListCycle) {
-  arena::LruArena a = seeded_lru();
-  AuditPeer::cycle_free_list(a);
-  AuditReport report;
-  a.audit(report);
+  expect_failure_containing(report, "user 2: chain revisits slot");
   expect_failure_containing(report, "cycle");
 }
 
