@@ -11,8 +11,18 @@ namespace specpf {
 std::vector<core::Candidate> ThresholdPolicy::select(
     const std::vector<core::Candidate>& predictions,
     const PolicyContext& ctx) {
-  core::PrefetchPlanner planner(ctx.params, model_);
-  return planner.plan(predictions).selected;
+  // PrefetchPlanner::plan's selection without its closed-form evaluation
+  // of the batch, which nothing here reads. Its contracts stay: valid
+  // parameters (core::threshold validates them), ρ' < 1 (the evaluation's
+  // no-prefetch baseline requires it), and every probability in [0, 1].
+  const double pth = threshold(ctx);
+  SPECPF_EXPECTS(ctx.params.stable_without_prefetch());
+  std::vector<core::Candidate> out;
+  for (const core::Candidate& c : predictions) {
+    SPECPF_EXPECTS(c.probability >= 0.0 && c.probability <= 1.0);
+    if (c.probability > pth) out.push_back(c);
+  }
+  return out;
 }
 
 double ThresholdPolicy::threshold(const PolicyContext& ctx) const {

@@ -13,6 +13,16 @@
 //     context slab (SoA)          head / distinct / total / aux  per context
 //     successor slab (SoA)        item id / quantized count / next  (u32 links)
 //     succ_index_: FlatIndexMap   (ctx id << 32 | item id) -> successor slot
+//     ranked heads: top_          capacity successor slots per context
+//
+// The ranked head of a context holds its min(capacity, distinct) best
+// successors, ordered by (count descending, item value ascending); the
+// capacity is fixed per arena (0 disables the heads). Counts only grow by
+// one per add(), so add() keeps the head exact with a bubble-up of at most
+// capacity steps; halving can turn distinct counts into ties that reorder
+// by item, so halve() rebuilds the head from the chain it already walks.
+// Planes whose probability is strictly increasing in the count (Markov,
+// frequency) read their top k straight off the head.
 //
 // Successor counts are quantized saturating u16 counters: when a counter
 // is about to overflow, every counter in that context is halved in place
@@ -25,8 +35,10 @@
 // 8-byte counters forever.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/audit.hpp"
@@ -41,11 +53,19 @@ class ContextArena {
   static constexpr CtxId kNoCtx = 0xFFFFFFFFu;
   static constexpr std::uint16_t kCounterMax = 0xFFFFu;
 
+  /// `top_capacity` is the ranked-head length per context (0: no heads,
+  /// and add() pays one predictable branch for them).
+  explicit ContextArena(std::size_t top_capacity = 0)
+      : top_cap_(static_cast<std::uint32_t>(top_capacity)) {
+    SPECPF_EXPECTS(top_capacity <= 0xFFFFu);
+  }
+
   /// Context id for `key`, creating an empty context on first sight.
   CtxId intern(std::uint64_t key) {
     if (const std::uint32_t* id = ctx_index_.find(key)) return *id;
     const CtxId id = static_cast<CtxId>(head_.size());
     head_.push_back(kNoSucc);
+    top_.resize(top_.size() + top_cap_, kNoSucc);
     distinct_.push_back(0);
     total_.push_back(0);
     aux_.push_back(0);
@@ -71,18 +91,21 @@ class ContextArena {
 
   /// Records one context -> item observation: bumps the successor's
   /// quantized counter (halving the context first when it would saturate)
-  /// and the context total.
+  /// and the context total, and re-ranks the successor in the head.
   void add(CtxId ctx, std::uint32_t item_id) {
     const std::uint64_t key = succ_key(ctx, item_id);
-    if (const std::uint32_t* slot = succ_index_.find(key)) {
-      if (succ_count_[*slot] == kCounterMax) halve(ctx);
-      ++succ_count_[*slot];
+    if (const std::uint32_t* found = succ_index_.find(key)) {
+      const std::uint32_t slot = *found;
+      if (succ_count_[slot] == kCounterMax) halve(ctx);
+      ++succ_count_[slot];
+      if (top_cap_ != 0) raise_in_top(ctx, slot);
     } else {
       const std::uint32_t fresh = static_cast<std::uint32_t>(succ_item_.size());
       succ_item_.push_back(item_id);
       succ_count_.push_back(1);
       succ_next_.push_back(head_[ctx]);
       head_[ctx] = fresh;
+      if (top_cap_ != 0) offer_to_top(ctx, top_len(ctx), fresh);
       ++distinct_[ctx];
       succ_index_[key] = fresh;
     }
@@ -107,6 +130,21 @@ class ContextArena {
     }
   }
 
+  std::size_t top_capacity() const { return top_cap_; }
+
+  /// Visits the first min(k, distinct) entries of `ctx`'s ranked head as
+  /// (item value, count), best first: the top k successors under (count
+  /// descending, item value ascending). Requires k <= top_capacity().
+  template <typename Fn>
+  void for_each_top(CtxId ctx, std::size_t k, Fn&& fn) const {
+    SPECPF_DCHECK(k <= top_cap_);
+    const std::uint32_t* top = top_of(ctx);
+    const std::size_t n = std::min<std::size_t>(k, distinct_[ctx]);
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(item_value_[succ_item_[top[i]]], succ_count_[top[i]]);
+    }
+  }
+
   std::size_t context_count() const { return head_.size(); }
   std::size_t successor_count() const { return succ_item_.size(); }
   std::size_t item_count() const { return item_value_.size(); }
@@ -118,7 +156,9 @@ class ContextArena {
   /// the SoA columns, successor chains acyclic with every slot owned by
   /// exactly one context, per-context conservation (chain length ==
   /// distinct, sum of counts == total, counts >= 1), successor-index
-  /// round-trips ((ctx, item) <-> slot both ways), and interning
+  /// round-trips ((ctx, item) <-> slot both ways), ranked heads (owned,
+  /// unique, sorted, exactly min(capacity, distinct) long, and no
+  /// off-head successor outranking the last entry), and interning
   /// round-trips for the context and item indices.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ContextArena");
@@ -129,6 +169,10 @@ class ContextArena {
     const std::size_t succs = succ_item_.size();
     report.check(succ_count_.size() == succs && succ_next_.size() == succs,
                  "successor SoA columns disagree on length");
+    if (!report.check(top_.size() == ctxs * top_cap_,
+                      "ranked-head slab length != contexts x capacity")) {
+      return;
+    }
     report.check(ctx_index_.size() == ctxs,
                  "context index size != context count");
     report.check(succ_index_.size() == succs,
@@ -144,24 +188,27 @@ class ContextArena {
       const std::string who = "ctx " + std::to_string(ctx);
       std::uint64_t sum = 0;
       std::uint32_t walked = 0;
+      bool sound = true;  // chain terminates and names interned items
       for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
         if (!report.check(s < succs, who + ": successor chain points past "
                                            "the slab")) {
+          sound = false;
           break;
         }
         if (!report.check(owned[s] == 0,
                           who + ": successor slot " + std::to_string(s) +
                               " owned twice (cycle or cross-context "
                               "share)")) {
+          sound = false;
           break;
         }
         owned[s] = 1;
         report.check(succ_count_[s] >= 1,
                      who + ": successor slot " + std::to_string(s) +
                          " has a zero count");
-        report.check(succ_item_[s] < item_value_.size(),
-                     who + ": successor slot " + std::to_string(s) +
-                         " names an uninterned item id");
+        sound &= report.check(succ_item_[s] < item_value_.size(),
+                              who + ": successor slot " + std::to_string(s) +
+                                  " names an uninterned item id");
         const std::uint32_t* slot =
             succ_index_.find(succ_key(ctx, succ_item_[s]));
         report.check(slot != nullptr && *slot == s,
@@ -178,6 +225,7 @@ class ContextArena {
                    who + ": successor counts sum to " + std::to_string(sum) +
                        " but total() says " + std::to_string(total_[ctx]));
       chained += walked;
+      if (top_cap_ != 0 && sound) audit_top(report, ctx, who);
     }
     report.check(chained == succs,
                  "successor slab conservation: " + std::to_string(chained) +
@@ -215,15 +263,113 @@ class ContextArena {
 
   /// Ages every counter in `ctx`: c -> ceil(c/2), so counts stay >= 1 and
   /// relative frequencies are preserved to within rounding. The total is
-  /// recomputed as the exact sum of the aged counts.
+  /// recomputed as the exact sum of the aged counts, and the ranked head
+  /// is rebuilt (aging can tie distinct counts, which then rank by item).
   void halve(CtxId ctx) {
     std::uint64_t total = 0;
+    std::uint32_t ranked = 0;
     for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
       succ_count_[s] = static_cast<std::uint16_t>((succ_count_[s] + 1u) >> 1);
       total += succ_count_[s];
+      if (top_cap_ != 0) {
+        offer_to_top(ctx, ranked, s);
+        ranked = std::min(ranked + 1, top_cap_);
+      }
     }
     total_[ctx] = total;
     ++halvings_;
+  }
+
+  /// Head order: count descending, then item value ascending — exactly
+  /// candidate_before on any probability strictly increasing in the count.
+  bool outranks(std::uint32_t a, std::uint32_t b) const {
+    if (succ_count_[a] != succ_count_[b]) {
+      return succ_count_[a] > succ_count_[b];
+    }
+    return item_value_[succ_item_[a]] < item_value_[succ_item_[b]];
+  }
+
+  std::uint32_t* top_of(CtxId ctx) {
+    return top_.data() + std::size_t{ctx} * top_cap_;
+  }
+  const std::uint32_t* top_of(CtxId ctx) const {
+    return top_.data() + std::size_t{ctx} * top_cap_;
+  }
+  std::uint32_t top_len(CtxId ctx) const {
+    return std::min(top_cap_, distinct_[ctx]);
+  }
+
+  /// Moves the head entry at `i` up past every entry it now outranks.
+  void bubble_up(std::uint32_t* top, std::uint32_t i) {
+    for (; i > 0 && outranks(top[i], top[i - 1]); --i) {
+      std::swap(top[i], top[i - 1]);
+    }
+  }
+
+  /// Offers off-head successor `slot` to a head holding `len` entries: it
+  /// fills a free entry, or displaces the last one when it outranks it.
+  void offer_to_top(CtxId ctx, std::uint32_t len, std::uint32_t slot) {
+    std::uint32_t* top = top_of(ctx);
+    if (len == top_cap_) {
+      if (!outranks(slot, top[len - 1])) return;
+      len = top_cap_ - 1;
+    }
+    top[len] = slot;
+    bubble_up(top, len);
+  }
+
+  /// Re-ranks `slot` after its count grew by one. Only its rank changed,
+  /// and only upward: a head entry bubbles up; an off-head successor (the
+  /// head is then full) enters only by outranking the last entry.
+  void raise_in_top(CtxId ctx, std::uint32_t slot) {
+    std::uint32_t* top = top_of(ctx);
+    const std::uint32_t len = top_len(ctx);
+    for (std::uint32_t i = 0; i < len; ++i) {
+      if (top[i] == slot) {
+        bubble_up(top, i);
+        return;
+      }
+    }
+    offer_to_top(ctx, len, slot);
+  }
+
+  /// Ranked-head invariants for one context (called after its chain walk
+  /// proved the chain sound). O(distinct x capacity): heads are short.
+  void audit_top(AuditReport& report, CtxId ctx, const std::string& who) const {
+    const std::uint32_t* top = top_of(ctx);
+    const std::uint32_t len = top_len(ctx);
+    for (std::uint32_t i = 0; i < top_cap_; ++i) {
+      const std::uint32_t s = top[i];
+      if (i >= len) {
+        report.check(s == kNoSucc, who + ": ranked head holds more than "
+                                         "min(capacity, distinct) entries");
+        continue;
+      }
+      const std::uint32_t* slot =
+          s < succ_item_.size() && succ_item_[s] < item_value_.size()
+              ? succ_index_.find(succ_key(ctx, succ_item_[s]))
+              : nullptr;
+      if (!report.check(slot != nullptr && *slot == s,
+                        who + ": ranked head entry " + std::to_string(i) +
+                            " is not a successor of this context")) {
+        return;
+      }
+      if (!report.check(std::find(top, top + i, s) == top + i,
+                        who + ": ranked head repeats slot " +
+                            std::to_string(s))) {
+        return;
+      }
+      report.check(i == 0 || outranks(top[i - 1], s),
+                   who + ": ranked head out of order at entry " +
+                       std::to_string(i));
+    }
+    if (len == 0) return;
+    for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
+      report.check(std::find(top, top + len, s) != top + len ||
+                       !outranks(s, top[len - 1]),
+                   who + ": off-head successor slot " + std::to_string(s) +
+                       " outranks the ranked head's last entry");
+    }
   }
 
   FlatIndexMap ctx_index_;
@@ -241,6 +387,11 @@ class ContextArena {
   std::vector<std::uint32_t> succ_item_;
   std::vector<std::uint16_t> succ_count_;
   std::vector<std::uint32_t> succ_next_;
+
+  // Ranked heads: context c's entries are top_[c*top_cap_, (c+1)*top_cap_),
+  // the first min(top_cap_, distinct) of them live, the rest kNoSucc.
+  std::uint32_t top_cap_;
+  std::vector<std::uint32_t> top_;
 
   std::uint64_t halvings_ = 0;
 };

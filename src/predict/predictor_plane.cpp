@@ -42,7 +42,8 @@ void select_top_candidates(std::vector<Candidate>& candidates, std::size_t k) {
 
 class FrequencyPlane final : public PredictorPlane {
  public:
-  FrequencyPlane() : ctx_(arena_.intern(0)) {}
+  explicit FrequencyPlane(std::size_t max_candidates)
+      : arena_(max_candidates), ctx_(arena_.intern(0)) {}
 
   void observe(UserId /*user*/, std::uint64_t item) override {
     arena_.add(ctx_, arena_.intern_item(item));
@@ -50,14 +51,17 @@ class FrequencyPlane final : public PredictorPlane {
 
   void predict_into(UserId /*user*/, std::size_t max_candidates,
                     std::vector<Candidate>& out) const override {
+    SPECPF_EXPECTS(max_candidates <= arena_.top_capacity());
     out.clear();
     const std::uint64_t total = arena_.total(ctx_);
     if (total == 0) return;
+    // p = c/total is strictly increasing in c: the ranked head is already
+    // in candidate_before order.
     const double total_d = static_cast<double>(total);
-    arena_.for_each_successor(ctx_, [&](std::uint64_t item, std::uint16_t c) {
+    arena_.for_each_top(ctx_, max_candidates,
+                        [&](std::uint64_t item, std::uint16_t c) {
       out.push_back(Candidate{item, static_cast<double>(c) / total_d});
     });
-    select_top_candidates(out, max_candidates);
   }
 
   std::uint64_t counter_halvings() const override { return arena_.halvings(); }
@@ -76,9 +80,16 @@ class FrequencyPlane final : public PredictorPlane {
 
 class MarkovPlane final : public PredictorPlane {
  public:
-  MarkovPlane(std::size_t num_users, double laplace)
-      : laplace_(laplace), last_(num_users, 0), has_last_(num_users, 0) {
-    SPECPF_EXPECTS(laplace >= 0.0);
+  MarkovPlane(std::size_t num_users, double laplace,
+              std::size_t max_candidates)
+      : laplace_(laplace),
+        arena_(max_candidates),
+        last_(num_users, 0),
+        has_last_(num_users, 0) {
+    // Up to 2^32, c + α and (c + α)/denom stay distinct for distinct
+    // counts c <= 65535; above it they may round to ties that the ranked
+    // head would order by count, not by item as candidate_before does.
+    SPECPF_EXPECTS(laplace >= 0.0 && laplace <= 4294967296.0);
   }
 
   void observe(UserId user, std::uint64_t item) override {
@@ -92,17 +103,20 @@ class MarkovPlane final : public PredictorPlane {
 
   void predict_into(UserId user, std::size_t max_candidates,
                     std::vector<Candidate>& out) const override {
+    SPECPF_EXPECTS(max_candidates <= arena_.top_capacity());
     out.clear();
     if (!has_last_[user]) return;
     const ContextArena::CtxId ctx = arena_.find(last_[user]);
     if (ctx == ContextArena::kNoCtx || arena_.total(ctx) == 0) return;
+    // p = (c + α)/denom is strictly increasing in c: the ranked head is
+    // already in candidate_before order.
     const double denom =
         static_cast<double>(arena_.total(ctx)) +
         laplace_ * static_cast<double>(arena_.distinct(ctx));
-    arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
+    arena_.for_each_top(ctx, max_candidates,
+                        [&](std::uint64_t item, std::uint16_t c) {
       out.push_back(Candidate{item, (static_cast<double>(c) + laplace_) / denom});
     });
-    select_top_candidates(out, max_candidates);
   }
 
   std::uint64_t counter_halvings() const override { return arena_.halvings(); }
@@ -169,6 +183,7 @@ class PpmPlane final : public PredictorPlane {
     for (const auto& [item, prob] : blended_) {
       out.push_back(Candidate{item, prob});
     }
+    // Scan, not a ranked head: the blend sums across orders.
     select_top_candidates(out, max_candidates);
   }
 
@@ -248,6 +263,7 @@ class DependencyGraphPlane final : public PredictorPlane {
       out.push_back(Candidate{
           item, std::min(1.0, static_cast<double>(c) / occurrences)});
     });
+    // Scan, not a ranked head: the clip ties distinct counts at 1.0.
     select_top_candidates(out, max_candidates);
   }
 
@@ -286,6 +302,7 @@ class OraclePlane final : public PredictorPlane {
     for (const auto& link : graph_.links(current_page_[user])) {
       out.push_back(Candidate{link.target, link.probability * stay});
     }
+    // Scan: no arena, the graph's links are the candidates.
     select_top_candidates(out, max_candidates);
   }
 
@@ -348,15 +365,15 @@ std::unique_ptr<PredictorPlane> make_predictor_plane(
   }
   switch (kind) {
     case PredictorKind::kMarkov:
-      return std::make_unique<MarkovPlane>(config.num_users,
-                                           config.markov_laplace);
+      return std::make_unique<MarkovPlane>(
+          config.num_users, config.markov_laplace, config.max_candidates);
     case PredictorKind::kPpm:
       return std::make_unique<PpmPlane>(config.num_users, config.ppm_order);
     case PredictorKind::kDependencyGraph:
       return std::make_unique<DependencyGraphPlane>(config.num_users,
                                                     config.depgraph_lookahead);
     case PredictorKind::kFrequency:
-      return std::make_unique<FrequencyPlane>();
+      return std::make_unique<FrequencyPlane>(config.max_candidates);
     case PredictorKind::kOracle:
       SPECPF_EXPECTS(config.graph != nullptr);
       return std::make_unique<OraclePlane>(config.num_users, *config.graph);

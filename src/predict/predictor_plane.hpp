@@ -6,9 +6,10 @@
 // successor lists threaded through one u32-linked slab, counts quantized to
 // saturating u16 counters with periodic halving, and per-user history kept
 // as fixed ring buffers in a user-indexed slab. Prediction writes into a
-// caller-provided scratch buffer (predict_into) and ranks candidates with a
-// partial top-k select instead of a full sort, so the stack's hot path does
-// zero allocation per request.
+// caller-provided scratch buffer (predict_into), so the stack's hot path
+// does zero allocation per request. The Markov and frequency planes copy
+// their top k from the arena's ranked per-context heads in O(k); PPM, the
+// dependency graph, and the oracle rank with a partial top-k select.
 //
 // Two backends behind make_predictor_plane, exactly like make_cache_plane:
 //
@@ -45,6 +46,10 @@ struct PredictorPlaneConfig {
   std::size_t ppm_order = 3;            ///< PPM: longest context length
   std::size_t depgraph_lookahead = 4;   ///< dependency graph window w
   double markov_laplace = 0.0;          ///< Markov add-α smoothing
+  /// Ranked-head length of the Markov and frequency planes: the largest
+  /// max_candidates their predict_into accepts (the stack passes its
+  /// max_prefetch_per_request, same default).
+  std::size_t max_candidates = 8;
   /// Generating graph, required for kOracle (borrowed; must outlive the
   /// plane). Ignored by every other kind.
   const SessionGraph* graph = nullptr;
@@ -62,7 +67,8 @@ class PredictorPlane {
   /// `max_candidates` entries, highest probability first (probability ties
   /// broken by ascending item). `out` may be left empty when the model has
   /// no basis for prediction. Reusing one buffer across calls makes the
-  /// steady state allocation-free.
+  /// steady state allocation-free. The Markov and frequency arena planes
+  /// require max_candidates <= PredictorPlaneConfig::max_candidates.
   virtual void predict_into(UserId user, std::size_t max_candidates,
                             std::vector<core::Candidate>& out) const = 0;
 

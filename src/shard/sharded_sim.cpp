@@ -189,9 +189,10 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
       continue;
     }
 
-    shard->predictor = make_replay_predictor(config_.stack.predictor_kind,
-                                             shard->user_index.size(),
-                                             config_.stack.use_legacy_predictors);
+    shard->predictor = make_replay_predictor(
+        config_.stack.predictor_kind, shard->user_index.size(),
+        config_.stack.use_legacy_predictors,
+        config_.stack.max_prefetch_per_request);
     shard->policy = make_policy();
     SPECPF_EXPECTS(shard->policy != nullptr);
     if (policy_name_.empty()) policy_name_ = shard->policy->name();

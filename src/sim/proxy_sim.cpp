@@ -30,6 +30,7 @@ std::unique_ptr<PredictorPlane> make_predictor(const ProxySimConfig& config,
                                                const SessionGraph& graph) {
   PredictorPlaneConfig plane_config;
   plane_config.num_users = config.num_users;
+  plane_config.max_candidates = config.max_prefetch_per_request;
   plane_config.graph = &graph;
   return make_predictor_plane(config.predictor_kind, plane_config,
                               config.use_legacy_predictors);

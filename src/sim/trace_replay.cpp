@@ -27,10 +27,11 @@ void TraceReplayConfig::validate() const {
 
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
-    bool use_legacy) {
+    bool use_legacy, std::size_t max_candidates) {
   SPECPF_EXPECTS(kind != PredictorKind::kOracle);
   PredictorPlaneConfig plane_config;
   plane_config.num_users = num_users;
+  plane_config.max_candidates = max_candidates;
   return make_predictor_plane(kind, plane_config, use_legacy);
 }
 

@@ -124,10 +124,11 @@ ProxySimResult run_trace_replay(TraceSource& source,
                                 PrefetchPolicy& policy);
 
 /// Fresh predictor plane for a replay kind, one per shard (`num_users`
-/// sizes the plane's user-indexed history slab). kOracle is not
-/// replayable.
+/// sizes the plane's user-indexed history slab; `max_candidates` is the
+/// largest predict_into limit it must serve). kOracle is not replayable.
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
-    bool use_legacy);
+    bool use_legacy,
+    std::size_t max_candidates = PredictorPlaneConfig{}.max_candidates);
 
 }  // namespace specpf

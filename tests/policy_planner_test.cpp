@@ -145,6 +145,43 @@ TEST(ThresholdPolicy, ThresholdTracksLoad) {
   EXPECT_TRUE(policy.select(candidates, heavy).empty());
 }
 
+TEST(ThresholdPolicy, SelectsWhatThePlannerSelects) {
+  // The policy filters by p_th without evaluating the plan; its selection
+  // and its contract failures (including ρ' >= 1) must match plan()'s.
+  std::vector<Candidate> candidates;
+  for (std::uint64_t i = 0; i <= 20; ++i) {
+    candidates.push_back(Candidate{i, static_cast<double>(i) / 20.0});
+  }
+  for (const InteractionModel model :
+       {InteractionModel::kModelA, InteractionModel::kModelB}) {
+    ThresholdPolicy policy(model);
+    for (const double hit_ratio : {0.0, 0.3, 0.7}) {
+      for (const double rate : {0.0, 10.0, 30.0, 49.0, 80.0}) {
+        PolicyContext ctx = make_ctx(hit_ratio);
+        ctx.params.request_rate = rate;
+        std::vector<Candidate> want;
+        bool planner_threw = false;
+        try {
+          want = PrefetchPlanner(ctx.params, model).plan(candidates).selected;
+        } catch (const ContractViolation&) {
+          planner_threw = true;
+        }
+        if (planner_threw) {
+          EXPECT_THROW(policy.select(candidates, ctx), ContractViolation);
+          continue;
+        }
+        const auto got = policy.select(candidates, ctx);
+        ASSERT_EQ(got.size(), want.size()) << hit_ratio << " " << rate;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].item, want[i].item);
+          EXPECT_EQ(got[i].probability, want[i].probability);
+        }
+      }
+    }
+    EXPECT_THROW(policy.select({{1, 1.5}}, make_ctx(0.3)), ContractViolation);
+  }
+}
+
 TEST(FixedThresholdPolicy, IgnoresContext) {
   FixedThresholdPolicy policy(0.25);
   PolicyContext heavy = make_ctx(0.0);

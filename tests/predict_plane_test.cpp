@@ -7,8 +7,11 @@
 //  3. Fuzz differential: every arena plane predicts bit-identically to its
 //     legacy virtual Predictor table across orders x user counts x
 //     candidate limits — exact double equality, not approximate.
+//  4. The ranked heads the Markov and frequency planes read stay exact
+//     through counter halving, against a full sort of every successor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -16,6 +19,7 @@
 
 #include "predict/context_arena.hpp"
 #include "predict/predictor_plane.hpp"
+#include "util/audit.hpp"
 #include "util/rng.hpp"
 #include "workload/session_graph.hpp"
 
@@ -157,10 +161,12 @@ TEST(HistoryRing, PreservesOrderAcrossWraparound) {
 
 /// Drives the same random stream through both backends, comparing
 /// predict_into output exactly (same items, bit-identical probabilities)
-/// after every observation.
-void expect_bit_identical(PredictorKind kind, const PredictorPlaneConfig& cfg,
+/// after every observation. The plane is sized for exactly
+/// `max_candidates`, so the ranked heads run at every tested limit.
+void expect_bit_identical(PredictorKind kind, PredictorPlaneConfig cfg,
                           std::size_t max_candidates, std::uint64_t seed,
                           std::size_t events, std::uint64_t item_space) {
+  cfg.max_candidates = max_candidates;
   auto plane = make_predictor_plane(kind, cfg, false);
   auto legacy = make_predictor_plane(kind, cfg, true);
   Rng rng(seed);
@@ -207,10 +213,12 @@ TEST(PredictPlaneDifferential, MarkovMatchesLegacy) {
 }
 
 TEST(PredictPlaneDifferential, MarkovLaplaceMatchesLegacy) {
-  PredictorPlaneConfig cfg;
-  cfg.num_users = 4;
-  cfg.markov_laplace = 0.5;
-  expect_bit_identical(PredictorKind::kMarkov, cfg, 8, 23, 4000, 40);
+  for (const double laplace : {0.5, 1000.0}) {
+    PredictorPlaneConfig cfg;
+    cfg.num_users = 4;
+    cfg.markov_laplace = laplace;
+    expect_bit_identical(PredictorKind::kMarkov, cfg, 8, 23, 4000, 40);
+  }
 }
 
 TEST(PredictPlaneDifferential, PpmMatchesLegacyAcrossOrders) {
@@ -274,6 +282,90 @@ TEST(PredictPlane, MarkovSurvivesCounterSaturation) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_EQ(after[0].item, 2u);
   EXPECT_EQ(after[0].probability, 1.0);
+}
+
+bool candidate_before(const Candidate& a, const Candidate& b) {
+  if (a.probability != b.probability) return a.probability > b.probability;
+  return a.item < b.item;
+}
+
+TEST(PredictPlane, MarkovHeadSurvivesHalvingTies) {
+  // Context 0 gets a hot successor that saturates its counter, plus pairs
+  // (lo, hi) with counts (2m-1, 2m): hi outranks lo until ceil(c/2) ties
+  // them at m, after which lo (the smaller item) must rank first. A mirror
+  // arena without ranked heads sees the same context-0 transitions, so
+  // the reference is a full candidate_before sort over for_each_successor.
+  constexpr std::size_t kTop = 4;
+  constexpr double kLaplace = 0.25;
+  constexpr std::uint64_t kHot = 1000;
+  PredictorPlaneConfig cfg;
+  cfg.num_users = 1;
+  cfg.markov_laplace = kLaplace;
+  cfg.max_candidates = kTop;
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg, false);
+  ContextArena mirror;
+  const ContextArena::CtxId ctx = mirror.intern(0);
+
+  std::vector<Candidate> got, want;
+  const auto expect_matches_reference = [&](const char* when) {
+    want.clear();
+    const double denom = static_cast<double>(mirror.total(ctx)) +
+                         kLaplace * static_cast<double>(mirror.distinct(ctx));
+    mirror.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
+      want.push_back(Candidate{item, (static_cast<double>(c) + kLaplace) /
+                                         denom});
+    });
+    std::sort(want.begin(), want.end(), candidate_before);
+    want.resize(std::min(want.size(), kTop));
+    plane->predict_into(0, kTop, got);
+    ASSERT_EQ(got.size(), want.size()) << when;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].item, want[i].item) << when << " rank " << i;
+      ASSERT_EQ(got[i].probability, want[i].probability) << when;
+    }
+  };
+  // One 0 -> x transition, leaving the user back on item 0.
+  const auto visit = [&](std::uint64_t x) {
+    plane->observe(0, x);
+    plane->observe(0, 0);
+    mirror.add(ctx, mirror.intern_item(x));
+  };
+
+  plane->observe(0, 0);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (std::uint64_t m = 1; m <= 4; ++m) {
+      // Pair m is (10m + 1, 10m + 2); after a halving both sit at m.
+      const std::uint64_t base = round == 0 ? 0 : m;
+      for (std::uint64_t i = base; i < 2 * m - 1; ++i) visit(10 * m + 1);
+      for (std::uint64_t i = base; i < 2 * m; ++i) visit(10 * m + 2);
+    }
+    expect_matches_reference("before halving");
+    const std::uint64_t halvings = mirror.halvings();
+    while (mirror.halvings() == halvings) visit(kHot);
+    expect_matches_reference("after halving");
+    AuditReport report;
+    plane->audit(report);
+    ASSERT_TRUE(report.ok()) << report.summary();
+  }
+  EXPECT_EQ(mirror.halvings(), 3u);
+  // The pairs tied at every halving: the smaller item of each ranks first.
+  ASSERT_EQ(got.size(), kTop);
+  EXPECT_EQ(got[0].item, kHot);
+  EXPECT_EQ(got[1].item, 41u);
+  EXPECT_EQ(got[2].item, 42u);
+  EXPECT_EQ(got[3].item, 31u);
+}
+
+TEST(PredictPlane, RankedHeadPlanesRejectLimitsAboveCapacity) {
+  for (const PredictorKind kind :
+       {PredictorKind::kMarkov, PredictorKind::kFrequency}) {
+    PredictorPlaneConfig cfg;
+    cfg.max_candidates = 3;
+    auto plane = make_predictor_plane(kind, cfg, false);
+    std::vector<Candidate> scratch;
+    EXPECT_NO_THROW(plane->predict_into(0, 3, scratch));
+    EXPECT_THROW(plane->predict_into(0, 4, scratch), ContractViolation);
+  }
 }
 
 TEST(PredictPlane, PredictIntoReplacesStaleScratchContents) {

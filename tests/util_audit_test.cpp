@@ -5,9 +5,9 @@
 // injects exactly the defect class the walker exists to catch — a stale
 // generation or scribbled freed slot in the engine slab, a broken or cyclic
 // intrusive chain in the cache arenas, a free-list cycle, successor-total
-// drift in the context arena, metadata corruption in the robin-hood
-// tables, a demand-count desync in the stack — and asserts the sweep fails
-// with a message naming the defect.
+// drift or a misranked head in the context arena, metadata corruption in
+// the robin-hood tables, a demand-count desync in the stack — and asserts
+// the sweep fails with a message naming the defect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,6 +54,17 @@ struct AuditPeer {
   }
   static void orphan_successor(ContextArena& a, ContextArena::CtxId c) {
     a.head_[c] = ContextArena::kNoSucc;  // leak the whole successor chain
+  }
+  static void swap_top_entries(ContextArena& a, ContextArena::CtxId c,
+                               std::uint32_t i, std::uint32_t j) {
+    std::swap(a.top_of(c)[i], a.top_of(c)[j]);  // head no longer sorted
+  }
+  static void replace_top_tail(ContextArena& a, ContextArena::CtxId c,
+                               std::uint64_t item) {
+    // The head's last entry becomes `item`'s slot; the entry it displaces
+    // now outranks the head from outside it.
+    a.top_of(c)[a.top_len(c) - 1] =
+        *a.succ_index_.find(ContextArena::succ_key(c, *a.item_index_.find(item)));
   }
 
   // --- flat hash tables ---------------------------------------------------
@@ -352,6 +363,38 @@ TEST(AuditInjection, ContextArenaOrphanedSuccessorChain) {
   AuditReport report;
   arena.audit(report);
   EXPECT_FALSE(report.ok()) << "orphaned successor slots were not detected";
+}
+
+/// Context 0x77 with successors 0..5 at counts 6..1, ranked head of 3:
+/// the head is items 0, 1, 2.
+ContextArena seeded_ranked_arena() {
+  ContextArena arena(3);
+  const ContextArena::CtxId ctx = arena.intern(0x77u);
+  for (std::uint64_t item = 0; item < 6; ++item) {
+    for (std::uint64_t n = item; n < 6; ++n) {
+      arena.add(ctx, arena.intern_item(item));
+    }
+  }
+  AuditReport clean;
+  arena.audit(clean);
+  EXPECT_TRUE(clean.ok()) << clean.summary();
+  return arena;
+}
+
+TEST(AuditInjection, ContextArenaRankedHeadOutOfOrder) {
+  ContextArena arena = seeded_ranked_arena();
+  AuditPeer::swap_top_entries(arena, arena.find(0x77u), 0, 1);
+  AuditReport report;
+  arena.audit(report);
+  expect_failure_containing(report, "ranked head out of order at entry 1");
+}
+
+TEST(AuditInjection, ContextArenaRankedHeadTailOutranked) {
+  ContextArena arena = seeded_ranked_arena();
+  AuditPeer::replace_top_tail(arena, arena.find(0x77u), 5);
+  AuditReport report;
+  arena.audit(report);
+  expect_failure_containing(report, "outranks the ranked head's last entry");
 }
 
 TEST(AuditInjection, FlatHashMapMetadataCorruption) {
