@@ -2,6 +2,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cache/clock_cache.hpp"
 #include "cache/fifo.hpp"
@@ -12,8 +14,10 @@
 #include "predict/dependency_graph.hpp"
 #include "predict/markov.hpp"
 #include "predict/ppm.hpp"
+#include "predict/predictor_plane.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
+#include "workload/session_graph.hpp"
 
 namespace {
 
@@ -90,6 +94,61 @@ void BM_Ppm_ObservePredict(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Ppm_ObservePredict)->Arg(2)->Arg(4);
+
+constexpr std::size_t kFanOutUsers = 1024;
+
+/// Interleaved session walks (400 pages, out-degree 3, exit 0.25) over
+/// 1024 users: each session restart lands its entry page as a successor
+/// of the previous session's last page, so order-1 contexts fan out to
+/// hundreds of items — the shape the bounded ranked-head read targets.
+std::vector<std::pair<UserId, std::uint64_t>> wide_fan_out_stream() {
+  SessionGraphConfig gcfg;
+  gcfg.num_pages = 400;
+  gcfg.out_degree = 3;
+  gcfg.exit_probability = 0.25;
+  gcfg.link_skew = 1.6;
+  const SessionGraph graph(gcfg, 7);
+  Rng rng(29);
+  std::vector<std::uint64_t> page(kFanOutUsers);
+  for (auto& p : page) p = graph.sample_entry(rng);
+  std::vector<std::pair<UserId, std::uint64_t>> stream(1u << 18);
+  for (auto& [user, item] : stream) {
+    user = static_cast<UserId>(rng.next_u64() % kFanOutUsers);
+    item = page[user];
+    if (!graph.sample_next(page[user], rng, &page[user])) {
+      page[user] = graph.sample_entry(rng);
+    }
+  }
+  return stream;
+}
+
+/// Order-3 PPM at 4 candidates on the wide-fan-out stream, arena plane
+/// (arg 0) against the legacy table (arg 1). The tables see the whole
+/// stream once before timing, then every iteration observes one event and
+/// predicts for its user.
+void BM_PpmPlane_WideFanOut(benchmark::State& state) {
+  const bool use_legacy = state.range(0) != 0;
+  static const auto stream = wide_fan_out_stream();
+  PredictorPlaneConfig cfg;
+  cfg.num_users = kFanOutUsers;
+  cfg.ppm_order = 3;
+  cfg.max_candidates = 4;
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, use_legacy);
+  for (const auto& [user, item] : stream) plane->observe(user, item);
+  std::vector<core::Candidate> scratch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [user, item] = stream[i];
+    plane->observe(user, item);
+    plane->predict_into(user, 4, scratch);
+    benchmark::DoNotOptimize(scratch.data());
+    if (++i == stream.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(use_legacy ? "legacy" : "plane");
+  state.counters["full_scans"] = static_cast<double>(plane->full_scans());
+}
+BENCHMARK(BM_PpmPlane_WideFanOut)->Arg(0)->Arg(1);
 
 void BM_DependencyGraph_ObservePredict(benchmark::State& state) {
   DependencyGraphPredictor predictor(4);

@@ -10,19 +10,26 @@
 //
 //     ctx_index_ : FlatIndexMap   context key  -> u32 context id
 //     item_index_: FlatIndexMap   item value   -> u32 dense item id
-//     context slab (SoA)          head / distinct / total / aux  per context
+//     context slab (SoA)          head / distinct / total / head block
+//                                 per context (+ aux, dependency graph only)
 //     successor slab (SoA)        item id / quantized count / next  (u32 links)
 //     succ_index_: FlatIndexMap   (ctx id << 32 | item id) -> successor slot
-//     ranked heads: top_          capacity successor slots per context
+//     ranked heads: top_pool_     one capacity-long block per context with
+//                                 two or more successors
 //
 // The ranked head of a context holds its min(capacity, distinct) best
 // successors, ordered by (count descending, item value ascending); the
-// capacity is fixed per arena (0 disables the heads). Counts only grow by
-// one per add(), so add() keeps the head exact with a bubble-up of at most
-// capacity steps; halving can turn distinct counts into ties that reorder
-// by item, so halve() rebuilds the head from the chain it already walks.
-// Planes whose probability is strictly increasing in the count (Markov,
-// frequency) read their top k straight off the head.
+// capacity is fixed per arena (0 disables the heads). Heads are allocated
+// lazily: a context gets a block of the pool only when it gains its
+// second successor, and a one-successor context's head is its chain head.
+// Most contexts of a high-order model never see a second successor, so
+// the pool stays a small fraction of contexts x capacity. Counts only grow
+// by one per add(), so add() keeps the head exact with a bubble-up of at
+// most capacity steps; halving can turn distinct counts into ties that
+// reorder by item, so halve() rebuilds the head from the chain it already
+// walks. Planes whose probability is strictly increasing in the count
+// (Markov, frequency) read their top k straight off the head; PPM reads
+// each order's head depth by depth until its blend bound settles.
 //
 // Successor counts are quantized saturating u16 counters: when a counter
 // is about to overflow, every counter in that context is halved in place
@@ -65,10 +72,9 @@ class ContextArena {
     if (const std::uint32_t* id = ctx_index_.find(key)) return *id;
     const CtxId id = static_cast<CtxId>(head_.size());
     head_.push_back(kNoSucc);
-    top_.resize(top_.size() + top_cap_, kNoSucc);
+    top_block_.push_back(kNoBlock);
     distinct_.push_back(0);
     total_.push_back(0);
-    aux_.push_back(0);
     ctx_index_[key] = id;
     return id;
   }
@@ -98,14 +104,17 @@ class ContextArena {
       const std::uint32_t slot = *found;
       if (succ_count_[slot] == kCounterMax) halve(ctx);
       ++succ_count_[slot];
-      if (top_cap_ != 0) raise_in_top(ctx, slot);
+      if (top_block_[ctx] != kNoBlock) raise_in_top(ctx, slot);
     } else {
       const std::uint32_t fresh = static_cast<std::uint32_t>(succ_item_.size());
       succ_item_.push_back(item_id);
       succ_count_.push_back(1);
       succ_next_.push_back(head_[ctx]);
+      if (top_cap_ != 0 && distinct_[ctx] != 0) {
+        if (distinct_[ctx] == 1) open_top(ctx);
+        offer_to_top(ctx, top_len(ctx), fresh);
+      }
       head_[ctx] = fresh;
-      if (top_cap_ != 0) offer_to_top(ctx, top_len(ctx), fresh);
       ++distinct_[ctx];
       succ_index_[key] = fresh;
     }
@@ -113,11 +122,18 @@ class ContextArena {
   }
 
   /// Auxiliary per-context counter (the dependency graph's occurrence
-  /// count); not part of the successor-total bookkeeping.
-  void bump_aux(CtxId ctx) { ++aux_[ctx]; }
+  /// count); not part of the successor-total bookkeeping. Its column grows
+  /// only as far as the highest bumped context, so arenas that never bump
+  /// it pay no memory for it.
+  void bump_aux(CtxId ctx) {
+    if (ctx >= aux_.size()) aux_.resize(std::size_t{ctx} + 1, 0);
+    ++aux_[ctx];
+  }
 
   std::uint64_t total(CtxId ctx) const { return total_[ctx]; }
-  std::uint64_t aux(CtxId ctx) const { return aux_[ctx]; }
+  std::uint64_t aux(CtxId ctx) const {
+    return ctx < aux_.size() ? aux_[ctx] : 0;
+  }
   std::uint32_t distinct(CtxId ctx) const { return distinct_[ctx]; }
 
   /// Visits every (item value, count) successor of `ctx`. Order is reverse
@@ -130,7 +146,33 @@ class ContextArena {
     }
   }
 
+  /// Count of successor `item_id` in `ctx`; 0 when it never followed.
+  std::uint16_t count(CtxId ctx, std::uint32_t item_id) const {
+    const std::uint32_t* slot = succ_index_.find(succ_key(ctx, item_id));
+    return slot ? succ_count_[*slot] : std::uint16_t{0};
+  }
+
+  std::uint64_t item_value(std::uint32_t item_id) const {
+    return item_value_[item_id];
+  }
+
   std::size_t top_capacity() const { return top_cap_; }
+
+  /// Length of `ctx`'s ranked head: min(top_capacity(), distinct).
+  std::uint32_t top_len(CtxId ctx) const {
+    return std::min(top_cap_, distinct_[ctx]);
+  }
+
+  struct Ranked {
+    std::uint32_t item_id;
+    std::uint16_t count;
+  };
+
+  /// Entry `i` < top_len(ctx) of `ctx`'s ranked head.
+  Ranked top_at(CtxId ctx, std::uint32_t i) const {
+    const std::uint32_t s = head_slots(ctx)[i];
+    return {succ_item_[s], succ_count_[s]};
+  }
 
   /// Visits the first min(k, distinct) entries of `ctx`'s ranked head as
   /// (item value, count), best first: the top k successors under (count
@@ -138,9 +180,10 @@ class ContextArena {
   template <typename Fn>
   void for_each_top(CtxId ctx, std::size_t k, Fn&& fn) const {
     SPECPF_DCHECK(k <= top_cap_);
-    const std::uint32_t* top = top_of(ctx);
-    const std::size_t n = std::min<std::size_t>(k, distinct_[ctx]);
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t n = std::min(static_cast<std::uint32_t>(k),
+                                     distinct_[ctx]);
+    const std::uint32_t* top = head_slots(ctx);
+    for (std::uint32_t i = 0; i < n; ++i) {
       fn(item_value_[succ_item_[top[i]]], succ_count_[top[i]]);
     }
   }
@@ -156,21 +199,23 @@ class ContextArena {
   /// the SoA columns, successor chains acyclic with every slot owned by
   /// exactly one context, per-context conservation (chain length ==
   /// distinct, sum of counts == total, counts >= 1), successor-index
-  /// round-trips ((ctx, item) <-> slot both ways), ranked heads (owned,
-  /// unique, sorted, exactly min(capacity, distinct) long, and no
-  /// off-head successor outranking the last entry), and interning
-  /// round-trips for the context and item indices.
+  /// round-trips ((ctx, item) <-> slot both ways), lazy head blocks (one
+  /// exactly when distinct >= 2, never shared, and a pool of exactly
+  /// blocks x capacity entries), ranked heads (owned, unique, sorted,
+  /// exactly min(capacity, distinct) long, and no off-head successor
+  /// outranking the last entry), and interning round-trips for the
+  /// context and item indices.
   void audit(AuditReport& report) const {
     const AuditScope scope(report, "ContextArena");
     const std::size_t ctxs = head_.size();
     report.check(distinct_.size() == ctxs && total_.size() == ctxs &&
-                     aux_.size() == ctxs,
+                     aux_.size() <= ctxs,
                  "context SoA columns disagree on length");
     const std::size_t succs = succ_item_.size();
     report.check(succ_count_.size() == succs && succ_next_.size() == succs,
                  "successor SoA columns disagree on length");
-    if (!report.check(top_.size() == ctxs * top_cap_,
-                      "ranked-head slab length != contexts x capacity")) {
+    if (!report.check(top_block_.size() == ctxs,
+                      "ranked-head block column length != context count")) {
       return;
     }
     report.check(ctx_index_.size() == ctxs,
@@ -183,7 +228,10 @@ class ContextArena {
     // Successor chains: each slot owned by exactly one context, counts
     // conserve the context totals, and the (ctx, item) index agrees.
     std::vector<std::uint8_t> owned(succs, 0);
+    std::vector<std::uint8_t> block_owned(
+        top_cap_ == 0 ? 0 : top_pool_.size() / top_cap_, 0);
     std::uint64_t chained = 0;
+    std::size_t blocks = 0;
     for (CtxId ctx = 0; ctx < ctxs; ++ctx) {
       const std::string who = "ctx " + std::to_string(ctx);
       std::uint64_t sum = 0;
@@ -225,12 +273,19 @@ class ContextArena {
                    who + ": successor counts sum to " + std::to_string(sum) +
                        " but total() says " + std::to_string(total_[ctx]));
       chained += walked;
-      if (top_cap_ != 0 && sound) audit_top(report, ctx, who);
+      if (top_block_[ctx] != kNoBlock) ++blocks;
+      if (audit_block(report, ctx, who, block_owned) && sound) {
+        audit_top(report, ctx, who);
+      }
     }
     report.check(chained == succs,
                  "successor slab conservation: " + std::to_string(chained) +
                      " slots chained, " + std::to_string(succs) +
                      " allocated (orphaned slots)");
+    report.check(top_pool_.size() == blocks * top_cap_,
+                 "ranked-head pool length " +
+                     std::to_string(top_pool_.size()) + " != " +
+                     std::to_string(blocks) + " blocks x capacity");
 
     // Interning round-trips: every index entry points at a slab slot that
     // agrees with it, and (for items) the slab points back into the index.
@@ -266,12 +321,13 @@ class ContextArena {
   /// recomputed as the exact sum of the aged counts, and the ranked head
   /// is rebuilt (aging can tie distinct counts, which then rank by item).
   void halve(CtxId ctx) {
+    const bool ranked_head = top_block_[ctx] != kNoBlock;
     std::uint64_t total = 0;
     std::uint32_t ranked = 0;
     for (std::uint32_t s = head_[ctx]; s != kNoSucc; s = succ_next_[s]) {
       succ_count_[s] = static_cast<std::uint16_t>((succ_count_[s] + 1u) >> 1);
       total += succ_count_[s];
-      if (top_cap_ != 0) {
+      if (ranked_head) {
         offer_to_top(ctx, ranked, s);
         ranked = std::min(ranked + 1, top_cap_);
       }
@@ -289,14 +345,28 @@ class ContextArena {
     return item_value_[succ_item_[a]] < item_value_[succ_item_[b]];
   }
 
+  /// `ctx`'s head block; only contexts with two or more successors have
+  /// one.
   std::uint32_t* top_of(CtxId ctx) {
-    return top_.data() + std::size_t{ctx} * top_cap_;
+    return top_pool_.data() + std::size_t{top_block_[ctx]} * top_cap_;
   }
   const std::uint32_t* top_of(CtxId ctx) const {
-    return top_.data() + std::size_t{ctx} * top_cap_;
+    return top_pool_.data() + std::size_t{top_block_[ctx]} * top_cap_;
   }
-  std::uint32_t top_len(CtxId ctx) const {
-    return std::min(top_cap_, distinct_[ctx]);
+
+  /// `ctx`'s ranked head as successor slots: its block, or, for a
+  /// one-successor context (which has none), its chain head.
+  const std::uint32_t* head_slots(CtxId ctx) const {
+    return top_block_[ctx] == kNoBlock ? &head_[ctx] : top_of(ctx);
+  }
+
+  /// Hands `ctx` (gaining its second successor) the next pool block, with
+  /// its lone successor as entry 0.
+  void open_top(CtxId ctx) {
+    const std::size_t base = top_pool_.size();
+    top_block_[ctx] = static_cast<std::uint32_t>(base / top_cap_);
+    top_pool_.resize(base + top_cap_, kNoSucc);
+    top_pool_[base] = head_[ctx];
   }
 
   /// Moves the head entry at `i` up past every entry it now outranks.
@@ -320,10 +390,13 @@ class ContextArena {
 
   /// Re-ranks `slot` after its count grew by one. Only its rank changed,
   /// and only upward: a head entry bubbles up; an off-head successor (the
-  /// head is then full) enters only by outranking the last entry.
+  /// head is then full) enters only by outranking the last entry. A head
+  /// entry counted at least the last entry's count before the bump, so a
+  /// successor still below that count is off the head and stays off.
   void raise_in_top(CtxId ctx, std::uint32_t slot) {
     std::uint32_t* top = top_of(ctx);
     const std::uint32_t len = top_len(ctx);
+    if (succ_count_[slot] < succ_count_[top[len - 1]]) return;
     for (std::uint32_t i = 0; i < len; ++i) {
       if (top[i] == slot) {
         bubble_up(top, i);
@@ -331,6 +404,35 @@ class ContextArena {
       }
     }
     offer_to_top(ctx, len, slot);
+  }
+
+  /// Lazy-block invariants for one context: a block exactly when heads are
+  /// on and distinct >= 2, inside the pool, and owned by no other context.
+  /// Returns true when `ctx` has a block that audit_top may walk.
+  bool audit_block(AuditReport& report, CtxId ctx, const std::string& who,
+                   std::vector<std::uint8_t>& block_owned) const {
+    const std::uint32_t b = top_block_[ctx];
+    const bool wants = top_cap_ != 0 && distinct_[ctx] >= 2;
+    if (b == kNoBlock) {
+      report.check(!wants, who + ": two or more successors but no "
+                                 "ranked-head block");
+      return false;
+    }
+    if (!report.check(wants,
+                      who + ": ranked-head block while distinct <= 1")) {
+      return false;
+    }
+    if (!report.check(b < block_owned.size(),
+                      who + ": ranked-head block " + std::to_string(b) +
+                          " lies past the pool")) {
+      return false;
+    }
+    const bool fresh = report.check(
+        block_owned[b] == 0, who + ": ranked-head block " +
+                                 std::to_string(b) +
+                                 " shared with another context");
+    block_owned[b] = 1;
+    return fresh;
   }
 
   /// Ranked-head invariants for one context (called after its chain walk
@@ -388,10 +490,14 @@ class ContextArena {
   std::vector<std::uint16_t> succ_count_;
   std::vector<std::uint32_t> succ_next_;
 
-  // Ranked heads: context c's entries are top_[c*top_cap_, (c+1)*top_cap_),
-  // the first min(top_cap_, distinct) of them live, the rest kNoSucc.
+  // Ranked heads: a context with two or more successors owns block b =
+  // top_block_[c], entries top_pool_[b*top_cap_, (b+1)*top_cap_), the
+  // first min(top_cap_, distinct) of them live, the rest kNoSucc. Other
+  // contexts hold kNoBlock.
+  static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
   std::uint32_t top_cap_;
-  std::vector<std::uint32_t> top_;
+  std::vector<std::uint32_t> top_block_;
+  std::vector<std::uint32_t> top_pool_;
 
   std::uint64_t halvings_ = 0;
 };

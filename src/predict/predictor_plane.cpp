@@ -137,8 +137,18 @@ class MarkovPlane final : public PredictorPlane {
 
 class PpmPlane final : public PredictorPlane {
  public:
-  PpmPlane(std::size_t num_users, std::size_t max_order)
-      : max_order_(max_order), history_(num_users, max_order) {
+  /// Ranked-head depth per allowed candidate. The bounded read settles
+  /// only once the heads reach past k (perf_cache_predict's wide-fan-out
+  /// stream falls back on under 1 call in 10^4 at 4k); the lazy head
+  /// blocks keep the extra depth cheap in memory.
+  static constexpr std::size_t kHeadDepthPerCandidate = 4;
+
+  PpmPlane(std::size_t num_users, std::size_t max_order,
+           std::size_t max_candidates)
+      : max_order_(max_order),
+        max_candidates_(max_candidates),
+        arena_(kHeadDepthPerCandidate * max_candidates),
+        history_(num_users, max_order) {
     SPECPF_EXPECTS(max_order >= 1);
   }
 
@@ -153,40 +163,18 @@ class PpmPlane final : public PredictorPlane {
 
   void predict_into(UserId user, std::size_t max_candidates,
                     std::vector<Candidate>& out) const override {
+    SPECPF_EXPECTS(max_candidates <= max_candidates_);
     out.clear();
-    const std::size_t len = history_.size(user);
-    if (len == 0) return;
-
-    // PPM-C blending, replicated term-for-term from the legacy table: the
-    // longest matching context's predictions carry weight (1 - escape), the
-    // escape mass flows to the next shorter context, and so on. Per item
-    // the contributions accumulate in descending-order sequence, so the
-    // sums are bit-identical regardless of successor iteration order.
-    blended_.clear();
-    double carry = 1.0;
-    for (std::size_t order = std::min(max_order_, len); order >= 1; --order) {
-      const ContextArena::CtxId ctx = arena_.find(context_hash(user, order));
-      if (ctx == ContextArena::kNoCtx || arena_.total(ctx) == 0) continue;
-      const double distinct = static_cast<double>(arena_.distinct(ctx));
-      const double total = static_cast<double>(arena_.total(ctx));
-      const double escape = distinct / (total + distinct);
-      arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
-        blended_[item] +=
-            carry * (1.0 - escape) * static_cast<double>(c) / total;
-      });
-      carry *= escape;
-      if (carry < 1e-6) break;
+    if (history_.size(user) == 0 || max_candidates == 0) return;
+    collect_orders(user);
+    if (orders_.empty()) return;
+    if (!read_heads(max_candidates, out)) {
+      ++full_scans_;
+      scan_all(max_candidates, out);
     }
-    if (blended_.empty()) return;
-
-    out.reserve(blended_.size());
-    for (const auto& [item, prob] : blended_) {
-      out.push_back(Candidate{item, prob});
-    }
-    // Scan, not a ranked head: the blend sums across orders.
-    select_top_candidates(out, max_candidates);
   }
 
+  std::uint64_t full_scans() const override { return full_scans_; }
   std::uint64_t counter_halvings() const override { return arena_.halvings(); }
   std::uint64_t context_count() const override {
     return arena_.context_count();
@@ -195,6 +183,119 @@ class PpmPlane final : public PredictorPlane {
   void audit(AuditReport& report) const override { arena_.audit(report); }
 
  private:
+  /// One matching context of the blend. Its term for a successor counted
+  /// c is weight * c / total, evaluated exactly as the legacy table's
+  /// carry * (1 - escape) * c / total.
+  struct Order {
+    ContextArena::CtxId ctx;
+    double weight;        ///< carry * (1 - escape)
+    double total;         ///< context total
+    std::uint32_t len;    ///< ranked-head length
+    bool off_head;        ///< successors beyond the head exist
+  };
+
+  static double term(const Order& o, std::uint16_t c) {
+    return o.weight * static_cast<double>(c) / o.total;
+  }
+
+  /// PPM-C blending weights, replicated from the legacy table: the longest
+  /// matching context's predictions carry weight (1 - escape), the escape
+  /// mass flows to the next shorter context, and so on, until the carried
+  /// mass drops below 1e-6. Fills orders_, longest first.
+  void collect_orders(UserId user) const {
+    orders_.clear();
+    double carry = 1.0;
+    for (std::size_t order = std::min(max_order_, history_.size(user));
+         order >= 1; --order) {
+      const ContextArena::CtxId ctx = arena_.find(context_hash(user, order));
+      if (ctx == ContextArena::kNoCtx || arena_.total(ctx) == 0) continue;
+      const double distinct = static_cast<double>(arena_.distinct(ctx));
+      const double total = static_cast<double>(arena_.total(ctx));
+      const double escape = distinct / (total + distinct);
+      const std::uint32_t len = arena_.top_len(ctx);
+      orders_.push_back(Order{ctx, carry * (1.0 - escape), total, len,
+                              arena_.distinct(ctx) > len});
+      carry *= escape;
+      if (carry < 1e-6) break;
+    }
+  }
+
+  /// An item's exact blend: its terms summed in descending-order sequence,
+  /// the same additions as the legacy table, so the sum is bit-identical.
+  /// Order `from` already knows the count `c` (read off its head).
+  double blend(std::uint32_t item_id, std::size_t from,
+               std::uint16_t c) const {
+    double p = 0.0;
+    for (std::size_t j = 0; j < orders_.size(); ++j) {
+      const std::uint16_t cj =
+          j == from ? c : arena_.count(orders_[j].ctx, item_id);
+      if (cj != 0) p += term(orders_[j], cj);
+    }
+    return p;
+  }
+
+  /// Threshold-algorithm top-k over the orders' ranked heads, read depth
+  /// by depth. Every newly seen item gets its exact blend. Before each
+  /// depth, the bound on any unseen item sums, in the same sequence, each
+  /// order's term at its next unread count (an exhausted head: its last
+  /// count while off-head successors remain, else nothing). Terms are
+  /// non-negative and IEEE rounding is monotone, so no unseen item's blend
+  /// exceeds the bound; once the k-th best seen candidate is strictly above
+  /// it, `out` is the exact top k. Returns false when the heads run out
+  /// with off-head successors still able to reach the top k.
+  bool read_heads(std::size_t k, std::vector<Candidate>& out) const {
+    seen_.clear();
+    for (std::uint32_t depth = 0;; ++depth) {
+      double bound = 0.0;
+      bool unread = false;
+      bool off_head = false;
+      for (const Order& o : orders_) {
+        if (depth < o.len) {
+          bound += term(o, arena_.top_at(o.ctx, depth).count);
+          unread = true;
+        } else if (o.off_head) {
+          bound += term(o, arena_.top_at(o.ctx, o.len - 1).count);
+          off_head = true;
+        }
+      }
+      if (out.size() == k && out.back().probability > bound) return true;
+      if (!unread) return !off_head;
+      for (std::size_t j = 0; j < orders_.size(); ++j) {
+        if (depth >= orders_[j].len) continue;
+        const ContextArena::Ranked r = arena_.top_at(orders_[j].ctx, depth);
+        if (std::find(seen_.begin(), seen_.end(), r.item_id) != seen_.end()) {
+          continue;
+        }
+        seen_.push_back(r.item_id);
+        const Candidate cand{arena_.item_value(r.item_id),
+                             blend(r.item_id, j, r.count)};
+        if (out.size() == k) {
+          if (!candidate_before(cand, out.back())) continue;
+          out.pop_back();
+        }
+        out.insert(std::upper_bound(out.begin(), out.end(), cand,
+                                    candidate_before),
+                   cand);
+      }
+    }
+  }
+
+  /// The exact fallback: blend every successor of every order, then rank.
+  void scan_all(std::size_t k, std::vector<Candidate>& out) const {
+    blended_.clear();
+    for (const Order& o : orders_) {
+      arena_.for_each_successor(o.ctx, [&](std::uint64_t item, std::uint16_t c) {
+        blended_[item] += term(o, c);
+      });
+    }
+    out.clear();
+    out.reserve(blended_.size());
+    for (const auto& [item, prob] : blended_) {
+      out.push_back(Candidate{item, prob});
+    }
+    select_top_candidates(out, k);
+  }
+
   /// Hash of the user's most recent `length` items — the same FNV-1a mix
   /// (seeded by the length) as PpmPredictor::hash_context, so context
   /// interning groups observations exactly as the legacy table does,
@@ -212,12 +313,16 @@ class PpmPlane final : public PredictorPlane {
   }
 
   std::size_t max_order_;
+  std::size_t max_candidates_;
   ContextArena arena_;
   HistoryRing history_;
-  /// Scratch for blending; cleared per call, capacity persists (no steady-
-  /// state allocation). The plane is single-threaded like the runtime that
-  /// owns it — the sharded driver builds one plane per shard.
+  /// Scratch for predict_into; cleared per call, capacity persists (no
+  /// steady-state allocation). The plane is single-threaded like the
+  /// runtime that owns it — the sharded driver builds one plane per shard.
+  mutable std::vector<Order> orders_;
+  mutable std::vector<std::uint32_t> seen_;
   mutable FlatHashMap<double> blended_;
+  mutable std::uint64_t full_scans_ = 0;
 };
 
 // --- dependency graph: lookahead-window follower credits --------------------
@@ -368,7 +473,8 @@ std::unique_ptr<PredictorPlane> make_predictor_plane(
       return std::make_unique<MarkovPlane>(
           config.num_users, config.markov_laplace, config.max_candidates);
     case PredictorKind::kPpm:
-      return std::make_unique<PpmPlane>(config.num_users, config.ppm_order);
+      return std::make_unique<PpmPlane>(config.num_users, config.ppm_order,
+                                        config.max_candidates);
     case PredictorKind::kDependencyGraph:
       return std::make_unique<DependencyGraphPlane>(config.num_users,
                                                     config.depgraph_lookahead);

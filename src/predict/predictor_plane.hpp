@@ -8,8 +8,11 @@
 // as fixed ring buffers in a user-indexed slab. Prediction writes into a
 // caller-provided scratch buffer (predict_into), so the stack's hot path
 // does zero allocation per request. The Markov and frequency planes copy
-// their top k from the arena's ranked per-context heads in O(k); PPM, the
-// dependency graph, and the oracle rank with a partial top-k select.
+// their top k from the arena's ranked per-context heads in O(k). PPM reads
+// each blended order's ranked head depth by depth and stops once no unread
+// successor can reach its top k, falling back to a full blend only when
+// the heads run out first. The dependency graph and the oracle rank with a
+// partial top-k select.
 //
 // Two backends behind make_predictor_plane, exactly like make_cache_plane:
 //
@@ -46,9 +49,10 @@ struct PredictorPlaneConfig {
   std::size_t ppm_order = 3;            ///< PPM: longest context length
   std::size_t depgraph_lookahead = 4;   ///< dependency graph window w
   double markov_laplace = 0.0;          ///< Markov add-α smoothing
-  /// Ranked-head length of the Markov and frequency planes: the largest
-  /// max_candidates their predict_into accepts (the stack passes its
-  /// max_prefetch_per_request, same default).
+  /// The largest max_candidates the Markov, frequency and PPM planes'
+  /// predict_into accepts (the stack passes its max_prefetch_per_request,
+  /// same default). It sizes their ranked heads: max_candidates deep for
+  /// Markov and frequency, a multiple of it for PPM's bounded read.
   std::size_t max_candidates = 8;
   /// Generating graph, required for kOracle (borrowed; must outlive the
   /// plane). Ignored by every other kind.
@@ -67,8 +71,8 @@ class PredictorPlane {
   /// `max_candidates` entries, highest probability first (probability ties
   /// broken by ascending item). `out` may be left empty when the model has
   /// no basis for prediction. Reusing one buffer across calls makes the
-  /// steady state allocation-free. The Markov and frequency arena planes
-  /// require max_candidates <= PredictorPlaneConfig::max_candidates.
+  /// steady state allocation-free. The Markov, frequency and PPM arena
+  /// planes require max_candidates <= PredictorPlaneConfig::max_candidates.
   virtual void predict_into(UserId user, std::size_t max_candidates,
                             std::vector<core::Candidate>& out) const = 0;
 
@@ -84,6 +88,11 @@ class PredictorPlane {
   /// Counter-halving events so far (0 on the legacy backend, which grows
   /// u64 counts instead of quantizing).
   virtual std::uint64_t counter_halvings() const { return 0; }
+
+  /// Predictions whose bounded ranked-head read ran out of head before
+  /// settling the top k, and so blended every successor instead (PPM only;
+  /// 0 elsewhere). The output is exact either way.
+  virtual std::uint64_t full_scans() const { return 0; }
 
   /// Distinct contexts interned in the plane's ContextArena (0 for planes
   /// without one) — the occupancy gauge the telemetry plane samples.

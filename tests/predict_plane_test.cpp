@@ -9,6 +9,9 @@
 //     candidate limits — exact double equality, not approximate.
 //  4. The ranked heads the Markov and frequency planes read stay exact
 //     through counter halving, against a full sort of every successor.
+//  5. PPM's bounded ranked-head read, on adversarial streams built to hit
+//     each way it can stop or fall back, against the legacy table (and,
+//     past counter saturation, against a full-blend reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,6 +233,7 @@ TEST(PredictPlaneDifferential, PpmMatchesLegacyAcrossOrders) {
         PredictorPlaneConfig cfg;
         cfg.num_users = users;
         cfg.ppm_order = order;
+        cfg.max_candidates = limit;  // heads 4 x limit deep
         expect_bit_identical(PredictorKind::kPpm, cfg, limit,
                              100 + order, 3000, 30);
       }
@@ -356,9 +360,309 @@ TEST(PredictPlane, MarkovHeadSurvivesHalvingTies) {
   EXPECT_EQ(got[3].item, 31u);
 }
 
+// --- PPM bounded ranked-head read ------------------------------------------
+
+using Stream = std::vector<std::pair<UserId, std::uint64_t>>;
+
+struct PpmRun {
+  std::size_t predictions = 0;  ///< calls that returned candidates
+  std::size_t kth_ties = 0;     ///< calls whose k-th score tied the next
+  std::uint64_t full_scans = 0;
+};
+
+/// Feeds `stream` through the PPM plane and the legacy PpmPredictor,
+/// comparing predict_into(limit) bit for bit after every observation. The
+/// plane is built for exactly `limit` (its heads 4x that deep): the
+/// largest limit it accepts.
+void expect_ppm_matches_legacy(const Stream& stream, std::size_t order,
+                               std::size_t users, std::size_t limit,
+                               PpmRun* run) {
+  PredictorPlaneConfig cfg;
+  cfg.num_users = users;
+  cfg.ppm_order = order;
+  cfg.max_candidates = limit;
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  auto legacy = make_predictor_plane(PredictorKind::kPpm, cfg, true);
+  std::vector<Candidate> got, want, full;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto [user, item] = stream[i];
+    plane->observe(user, item);
+    legacy->observe(user, item);
+    plane->predict_into(user, limit, got);
+    legacy->predict_into(user, limit, want);
+    ASSERT_EQ(got.size(), want.size()) << "event " << i;
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(got[c].item, want[c].item) << "event " << i << " rank " << c;
+      ASSERT_EQ(got[c].probability, want[c].probability)
+          << "event " << i << " rank " << c;
+    }
+    if (!got.empty()) ++run->predictions;
+    legacy->predict_into(user, limit + 1, full);
+    if (full.size() > limit &&
+        full[limit - 1].probability == full[limit].probability) {
+      ++run->kth_ties;
+    }
+  }
+  EXPECT_EQ(plane->counter_halvings(), 0u);
+  AuditReport report;
+  plane->audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  run->full_scans = plane->full_scans();
+}
+
+TEST(PpmBoundedRead, OrderOneFanOutFarBeyondHeadDepth) {
+  // Every session restarts through hub item 0, whose order-1 context fans
+  // out to a few hot pages and 600 one-off restart pages: far past the
+  // 16-deep heads. The skew lets the bound settle on most calls.
+  for (const std::size_t order : {std::size_t{1}, std::size_t{3}}) {
+    Rng rng(31 + order);
+    Stream stream;
+    for (int i = 0; i < 6000; ++i) {
+      const UserId user = static_cast<UserId>(rng.next_u64() % 4);
+      stream.emplace_back(user, 0);
+      const std::uint64_t roll = rng.next_u64() % 10;
+      stream.emplace_back(user, roll < 7 ? 1 + roll % 3
+                                         : 1000 + rng.next_u64() % 600);
+    }
+    PpmRun run;
+    expect_ppm_matches_legacy(stream, order, 4, 4, &run);
+    EXPECT_GT(run.predictions, 10000u);
+    EXPECT_LT(run.full_scans * 10, run.predictions) << "order " << order;
+  }
+}
+
+TEST(PpmBoundedRead, KnownEarlyStop) {
+  // Context 0: item 1 fifty times, then 100 restart items once each. The
+  // depth-0 read finds item 1, and the depth-1 bound (one count) is
+  // already strictly below it: top 1 settles without a scan.
+  Stream stream;
+  for (int i = 0; i < 50; ++i) stream.insert(stream.end(), {{0, 0}, {0, 1}});
+  for (std::uint64_t r = 100; r < 200; ++r) {
+    stream.insert(stream.end(), {{0, 0}, {0, r}});
+  }
+  stream.emplace_back(0, 0);
+  PredictorPlaneConfig cfg;
+  cfg.ppm_order = 1;
+  cfg.max_candidates = 1;  // 4-deep heads; context 0 has 101 successors
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  for (const auto& [user, item] : stream) plane->observe(user, item);
+  const auto got = plane->predict(0, 1);
+  EXPECT_EQ(plane->full_scans(), 0u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].item, 1u);
+
+  PpmRun run;
+  expect_ppm_matches_legacy(stream, 1, 1, 1, &run);
+}
+
+TEST(PpmBoundedRead, KnownFallbackWhenHeadExhaustsOnTies) {
+  // Context 0: 40 restart items, once each. Every unread successor ties
+  // the best seen one, so the bound never drops strictly below it; the
+  // 4-deep head runs out with 36 successors off it, and the plane must
+  // blend them all. Ties rank by item: 100 wins.
+  Stream stream;
+  for (std::uint64_t r = 100; r < 140; ++r) {
+    stream.insert(stream.end(), {{0, 0}, {0, r}});
+  }
+  stream.emplace_back(0, 0);
+  PredictorPlaneConfig cfg;
+  cfg.ppm_order = 1;
+  cfg.max_candidates = 1;
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  for (const auto& [user, item] : stream) plane->observe(user, item);
+  const std::uint64_t before = plane->full_scans();
+  const auto got = plane->predict(0, 1);
+  EXPECT_EQ(plane->full_scans(), before + 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].item, 100u);
+
+  PpmRun run;
+  expect_ppm_matches_legacy(stream, 1, 1, 1, &run);
+  EXPECT_GT(run.full_scans, 0u);
+}
+
+TEST(PpmBoundedRead, KthScoreTiesAcrossOrders) {
+  // Sessions [5, 0, a] give context (5, 0) and context 0 the same count
+  // for every a, so each a's two-order blend is bit-equal to the others':
+  // the k-th score ties in both orders at once. With `fan` items the
+  // 8-deep heads either hold them all (the read must not stop on the tie)
+  // or run out (the plane must fall back).
+  for (const std::uint64_t fan : {std::uint64_t{4}, std::uint64_t{12}}) {
+    Stream stream;
+    for (int rep = 0; rep < 6; ++rep) {
+      for (std::uint64_t a = 1; a <= fan; ++a) {
+        stream.insert(stream.end(), {{0, 5}, {0, 0}, {0, 10 + a}});
+      }
+    }
+    stream.insert(stream.end(), {{0, 5}, {0, 0}});
+    PpmRun run;
+    expect_ppm_matches_legacy(stream, 2, 1, 2, &run);
+    EXPECT_GT(run.kth_ties, 0u) << "fan " << fan;
+  }
+  // Random small-alphabet streams tie at the k-th rank all the time.
+  Rng rng(41);
+  Stream stream;
+  for (int i = 0; i < 4000; ++i) {
+    stream.emplace_back(static_cast<UserId>(rng.next_u64() % 3),
+                        rng.next_u64() % 7);
+  }
+  PpmRun run;
+  expect_ppm_matches_legacy(stream, 3, 3, 2, &run);
+  EXPECT_GT(run.kth_ties, 50u);
+}
+
+TEST(PpmBoundedRead, HeadExactlyFullThenOneOffHead) {
+  // Context 0 gains successors 1..8 with counts 8..1: with
+  // max_candidates = 2 the head is 8 deep and holds every successor.
+  // Item 9 then joins with one count, off the head.
+  Stream stream;
+  for (std::uint64_t item = 1; item <= 8; ++item) {
+    for (std::uint64_t n = item; n <= 8; ++n) {
+      stream.insert(stream.end(), {{0, 0}, {0, item}});
+    }
+  }
+  stream.insert(stream.end(), {{0, 0}, {0, 9}, {0, 0}});
+  PpmRun run;
+  expect_ppm_matches_legacy(stream, 1, 1, 2, &run);
+  EXPECT_GT(run.predictions, 0u);
+}
+
+TEST(PpmBoundedRead, CarryCutDropsShortOrders) {
+  // The cycle 1..5 makes every order-4..2 context single-successor with
+  // ~200 counts, so the carried mass falls below 1e-6 after order 2 and
+  // order 1 never blends. Context 5 at order 1 also knows item 7 (from
+  // the leading "9 5 7" detours), which the cut must keep out of the
+  // prediction.
+  Stream stream;
+  for (int rep = 0; rep < 3; ++rep) {
+    stream.insert(stream.end(), {{0, 9}, {0, 5}, {0, 7}});
+  }
+  for (int rep = 0; rep < 200; ++rep) {
+    for (std::uint64_t item = 1; item <= 5; ++item) {
+      stream.emplace_back(0, item);
+    }
+  }
+  PpmRun run;
+  expect_ppm_matches_legacy(stream, 4, 1, 2, &run);
+  PredictorPlaneConfig cfg;
+  cfg.ppm_order = 4;
+  cfg.max_candidates = 2;
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  for (const auto& [user, item] : stream) plane->observe(user, item);
+  const auto got = plane->predict(0, 2);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].item, 1u);
+}
+
+/// Single-user PPM over a head-less ContextArena (the same counter aging
+/// as the plane) that blends every successor and sorts them all: the
+/// reference past counter saturation, where the u64 legacy table diverges
+/// by design. Items are < 2^16, so a context key packs its items exactly.
+class FullBlendPpm {
+ public:
+  explicit FullBlendPpm(std::size_t order) : order_(order) {}
+
+  void observe(std::uint64_t item) {
+    const std::uint32_t id = arena_.intern_item(item);
+    for (std::size_t k = 1; k <= std::min(order_, history_.size()); ++k) {
+      arena_.add(arena_.intern(key(k)), id);
+    }
+    history_.push_back(item);
+    if (history_.size() > order_) history_.erase(history_.begin());
+  }
+
+  std::vector<Candidate> predict(std::size_t limit) const {
+    std::map<std::uint64_t, double> blended;
+    double carry = 1.0;
+    for (std::size_t k = std::min(order_, history_.size()); k >= 1; --k) {
+      const ContextArena::CtxId ctx = arena_.find(key(k));
+      if (ctx == ContextArena::kNoCtx) continue;
+      const double distinct = static_cast<double>(arena_.distinct(ctx));
+      const double total = static_cast<double>(arena_.total(ctx));
+      const double escape = distinct / (total + distinct);
+      arena_.for_each_successor(ctx, [&](std::uint64_t item, std::uint16_t c) {
+        blended[item] +=
+            carry * (1.0 - escape) * static_cast<double>(c) / total;
+      });
+      carry *= escape;
+      if (carry < 1e-6) break;
+    }
+    std::vector<Candidate> out;
+    for (const auto& [item, p] : blended) out.push_back(Candidate{item, p});
+    std::sort(out.begin(), out.end(), candidate_before);
+    out.resize(std::min(out.size(), limit));
+    return out;
+  }
+
+  std::uint64_t halvings() const { return arena_.halvings(); }
+
+ private:
+  std::uint64_t key(std::size_t k) const {
+    std::uint64_t h = k;
+    for (std::size_t i = history_.size() - k; i < history_.size(); ++i) {
+      h = (h << 16) | history_[i];
+    }
+    return h;
+  }
+
+  std::size_t order_;
+  ContextArena arena_;
+  std::vector<std::uint64_t> history_;
+};
+
+TEST(PpmBoundedRead, CounterHalvingMatchesFullBlend) {
+  // Hub 1 fans out to a hot page and to pairs (10m + 1, 10m + 2) with
+  // counts (2m - 1, 2m): nine successors, one off the 8-deep head. The
+  // hot page saturates its counters; each halving ties every pair at m,
+  // which the rebuilt heads must rank by item.
+  constexpr std::size_t kOrder = 2;
+  constexpr std::size_t kTop = 2;
+  constexpr std::uint64_t kHot = 1000;
+  PredictorPlaneConfig cfg;
+  cfg.ppm_order = kOrder;
+  cfg.max_candidates = kTop;
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  FullBlendPpm reference(kOrder);
+  std::vector<Candidate> got;
+  std::size_t step = 0;
+  const auto observe = [&](std::uint64_t item) {
+    plane->observe(0, item);
+    reference.observe(item);
+    plane->predict_into(0, kTop, got);
+    const auto want = reference.predict(kTop);
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].item, want[i].item) << "step " << step << " rank " << i;
+      ASSERT_EQ(got[i].probability, want[i].probability) << "step " << step;
+    }
+    ++step;
+  };
+  const auto visit = [&](std::uint64_t x) {
+    observe(x);
+    observe(1);
+  };
+
+  observe(1);
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (std::uint64_t m = 1; m <= 4; ++m) {
+      const std::uint64_t base = round == 0 ? 0 : m;
+      for (std::uint64_t i = base; i < 2 * m - 1; ++i) visit(10 * m + 1);
+      for (std::uint64_t i = base; i < 2 * m; ++i) visit(10 * m + 2);
+    }
+    const std::uint64_t halvings = reference.halvings();
+    while (reference.halvings() == halvings) visit(kHot);
+    AuditReport report;
+    plane->audit(report);
+    ASSERT_TRUE(report.ok()) << report.summary();
+  }
+  EXPECT_GE(plane->counter_halvings(), 2u);
+  EXPECT_EQ(plane->counter_halvings(), reference.halvings());
+}
+
 TEST(PredictPlane, RankedHeadPlanesRejectLimitsAboveCapacity) {
-  for (const PredictorKind kind :
-       {PredictorKind::kMarkov, PredictorKind::kFrequency}) {
+  for (const PredictorKind kind : {PredictorKind::kMarkov,
+                                  PredictorKind::kFrequency,
+                                  PredictorKind::kPpm}) {
     PredictorPlaneConfig cfg;
     cfg.max_candidates = 3;
     auto plane = make_predictor_plane(kind, cfg, false);

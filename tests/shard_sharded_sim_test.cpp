@@ -119,6 +119,18 @@ TEST(ShardedSim, OneShardMatchesUnshardedReplayWithRandomCache) {
   expect_result_eq(sharded.merged, unsharded);
 }
 
+void expect_fleet_eq(const ShardedReplayResult& a,
+                     const ShardedReplayResult& b) {
+  expect_result_eq(a.merged, b.merged);
+  expect_backbone_eq(a.backbone, b.backbone);
+  EXPECT_EQ(a.epochs, b.epochs);
+  EXPECT_EQ(a.cross_shard_events, b.cross_shard_events);
+  ASSERT_EQ(a.per_shard.size(), b.per_shard.size());
+  for (std::size_t s = 0; s < a.per_shard.size(); ++s) {
+    expect_result_eq(a.per_shard[s], b.per_shard[s]);
+  }
+}
+
 TEST(ShardedSim, DeterministicAcrossThreadCounts) {
   const Trace trace = make_trace();
   ShardedReplayResult runs[3];
@@ -129,16 +141,27 @@ TEST(ShardedSim, DeterministicAcrossThreadCounts) {
   }
   EXPECT_GT(runs[0].cross_shard_events, 0u);
   EXPECT_GT(runs[0].epochs, 0u);
-  for (int i = 1; i < 3; ++i) {
-    expect_result_eq(runs[i].merged, runs[0].merged);
-    expect_backbone_eq(runs[i].backbone, runs[0].backbone);
-    EXPECT_EQ(runs[i].epochs, runs[0].epochs);
-    EXPECT_EQ(runs[i].cross_shard_events, runs[0].cross_shard_events);
-    ASSERT_EQ(runs[i].per_shard.size(), runs[0].per_shard.size());
-    for (std::size_t s = 0; s < runs[0].per_shard.size(); ++s) {
-      expect_result_eq(runs[i].per_shard[s], runs[0].per_shard[s]);
-    }
+  for (int i = 1; i < 3; ++i) expect_fleet_eq(runs[i], runs[0]);
+}
+
+// The fleet's PPM coverage (the examples replay Markov): 4 shards, each
+// with its own PPM plane reading ranked heads, bit-identical at 1, 2 and 4
+// worker threads. In SPECPF_AUDIT builds every sampled epoch barrier also
+// sweeps each shard's predictor arena, lazy head blocks included, and
+// throws on the first corrupt structure.
+TEST(ShardedSim, PpmFleetDeterministicAcrossThreadCounts) {
+  const Trace trace = make_trace();
+  ShardedReplayResult runs[3];
+  const std::size_t thread_counts[3] = {1, 2, 4};
+  for (int i = 0; i < 3; ++i) {
+    ShardedReplayConfig cfg = sharded_config(4, thread_counts[i]);
+    cfg.stack.predictor_kind = TraceReplayConfig::PredictorKind::kPpm;
+    ASSERT_NO_THROW(
+        runs[i] = run_sharded_replay(trace, cfg, threshold_factory()));
   }
+  EXPECT_GT(runs[0].merged.prefetch_jobs, 0u);
+  EXPECT_GT(runs[0].cross_shard_events, 0u);
+  for (int i = 1; i < 3; ++i) expect_fleet_eq(runs[i], runs[0]);
 }
 
 TEST(ShardedSim, CrossShardTrafficFlowsToHomeShards) {

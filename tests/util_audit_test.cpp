@@ -5,9 +5,10 @@
 // injects exactly the defect class the walker exists to catch — a stale
 // generation or scribbled freed slot in the engine slab, a broken or cyclic
 // intrusive chain in the cache arenas, a free-list cycle, successor-total
-// drift or a misranked head in the context arena, metadata corruption in
-// the robin-hood tables, a demand-count desync in the stack — and asserts
-// the sweep fails with a message naming the defect.
+// drift, a misranked head or a shared or missing head block in the context
+// arena, metadata corruption in the robin-hood tables, a demand-count
+// desync in the stack — and asserts the sweep fails with a message naming
+// the defect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,6 +66,13 @@ struct AuditPeer {
     // now outranks the head from outside it.
     a.top_of(c)[a.top_len(c) - 1] =
         *a.succ_index_.find(ContextArena::succ_key(c, *a.item_index_.find(item)));
+  }
+  static void share_top_block(ContextArena& a, ContextArena::CtxId c,
+                              ContextArena::CtxId owner) {
+    a.top_block_[c] = a.top_block_[owner];  // two contexts on one block
+  }
+  static void drop_top_block(ContextArena& a, ContextArena::CtxId c) {
+    a.top_block_[c] = ContextArena::kNoBlock;  // multi-successor, no head
   }
 
   // --- flat hash tables ---------------------------------------------------
@@ -366,7 +374,8 @@ TEST(AuditInjection, ContextArenaOrphanedSuccessorChain) {
 }
 
 /// Context 0x77 with successors 0..5 at counts 6..1, ranked head of 3:
-/// the head is items 0, 1, 2.
+/// the head is items 0, 1, 2. Context 0x78 has successors 10, 11 (a
+/// block of its own); context 0x79 has one successor and no block.
 ContextArena seeded_ranked_arena() {
   ContextArena arena(3);
   const ContextArena::CtxId ctx = arena.intern(0x77u);
@@ -375,6 +384,10 @@ ContextArena seeded_ranked_arena() {
       arena.add(ctx, arena.intern_item(item));
     }
   }
+  const ContextArena::CtxId pair = arena.intern(0x78u);
+  arena.add(pair, arena.intern_item(10));
+  arena.add(pair, arena.intern_item(11));
+  arena.add(arena.intern(0x79u), arena.intern_item(12));
   AuditReport clean;
   arena.audit(clean);
   EXPECT_TRUE(clean.ok()) << clean.summary();
@@ -395,6 +408,23 @@ TEST(AuditInjection, ContextArenaRankedHeadTailOutranked) {
   AuditReport report;
   arena.audit(report);
   expect_failure_containing(report, "outranks the ranked head's last entry");
+}
+
+TEST(AuditInjection, ContextArenaSharedHeadBlock) {
+  ContextArena arena = seeded_ranked_arena();
+  AuditPeer::share_top_block(arena, arena.find(0x78u), arena.find(0x77u));
+  AuditReport report;
+  arena.audit(report);
+  expect_failure_containing(report, "shared with another context");
+}
+
+TEST(AuditInjection, ContextArenaMissingHeadBlock) {
+  ContextArena arena = seeded_ranked_arena();
+  AuditPeer::drop_top_block(arena, arena.find(0x77u));
+  AuditReport report;
+  arena.audit(report);
+  expect_failure_containing(report,
+                            "two or more successors but no ranked-head block");
 }
 
 TEST(AuditInjection, FlatHashMapMetadataCorruption) {
