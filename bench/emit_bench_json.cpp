@@ -6,10 +6,10 @@
 // Usage: emit_bench_json [output.json]   (default: BENCH_engine.json)
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "engine_workloads.hpp"
 #include "policy/policies.hpp"
 #include "sim/proxy_sim.hpp"
@@ -18,33 +18,8 @@
 namespace {
 
 using specpf::Rng;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+using specpf::bench::best_time;
+using specpf::bench::Metric;
 
 double bench_schedule_run(std::size_t events) {
   Rng rng(1);
@@ -113,24 +88,6 @@ int main(int argc, char** argv) {
                      static_cast<double>(requests) / proxy_secs,
                      "requests/s"});
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-45s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
+  if (!specpf::bench::write_bench_json(path, metrics)) return 1;
   return 0;
 }

@@ -1,8 +1,9 @@
 // Cache-plane perf/memory recorder: measures the block-arena cache
-// plane against the legacy per-user TaggedCache fleet — resident bytes per
-// user (via the util/mem RSS probe) under the million-user sweep's own
-// workload shape, cold construction of a million-user fleet, protocol-op
-// churn throughput, and an end-to-end trace replay — and writes
+// plane against the reference per-user TaggedCache fleet
+// (tests/reference/cache/) — resident bytes per user (via the util/mem RSS
+// probe) under the million-user sweep's own workload shape, cold
+// construction of a million-user fleet, and protocol-op churn throughput —
+// plus the arena plane's end-to-end trace replay, and writes
 // BENCH_cache.json alongside the engine/stack/shard snapshots.
 //
 // The fleet footprint is measured by replaying the same synthetic
@@ -12,21 +13,22 @@
 // sweep's observed prefetch:demand ratio — the engine, in-flight map, and
 // predictor are deliberately absent so the number isolates the caches.
 //
-// The arena is measured before the legacy fleet so allocator page reuse
-// can only shrink the legacy numbers: the reported ratios are lower
-// bounds on the arena's advantage.
+// The arena is measured before the reference fleet so allocator page
+// reuse can only shrink the reference numbers: the reported ratios are
+// lower bounds on the arena's advantage.
 //
 // Usage: perf_cache_arena [output.json] [num_users]
 //        (defaults: BENCH_cache.json, 1000000)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "cache/cache_plane.hpp"
+#include "cache/reference_caches.hpp"
 #include "policy/policies.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/mem.hpp"
@@ -36,35 +38,19 @@
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+using bench::Clock;
+using bench::best_time;
+using bench::seconds_since;
+using bench::Metric;
 
 constexpr std::size_t kCapacity = 8;  // the million-user sweep's default
+
+/// The LRU arena plane, or the reference TaggedCache fleet.
+std::unique_ptr<CachePlane> make_plane(const CachePlaneConfig& config,
+                                       bool reference) {
+  return reference ? make_tagged_cache_fleet(CacheKind::kLru, config)
+                   : make_cache_plane(CacheKind::kLru, config);
+}
 
 /// The sweep's cache-plane traffic, minus the engine: every trace record is
 /// an access; misses demand-admit, and every other miss also prefetch-admits
@@ -94,7 +80,7 @@ std::uint64_t drive_sweep_workload(CachePlane& plane, const Trace& trace,
 }
 
 /// RSS delta of construct + sweep replay, construction time, and drive
-/// throughput, for one backend.
+/// throughput, for the arena plane or (`reference`) the TaggedCache fleet.
 struct FleetCost {
   double construct_secs = 0.0;
   double drive_secs = 0.0;
@@ -102,7 +88,7 @@ struct FleetCost {
   std::uint64_t checksum = 0;
 };
 
-FleetCost measure_fleet(bool use_legacy, std::size_t num_users,
+FleetCost measure_fleet(bool reference, std::size_t num_users,
                         const Trace& trace, std::size_t num_pages) {
   CachePlaneConfig config;
   config.num_users = num_users;
@@ -110,7 +96,7 @@ FleetCost measure_fleet(bool use_legacy, std::size_t num_users,
   config.seed = 7;
   const std::size_t rss_before = read_memory_usage().resident_bytes;
   auto t0 = Clock::now();
-  auto plane = make_cache_plane(CacheKind::kLru, config, use_legacy);
+  auto plane = make_plane(config, reference);
   FleetCost cost;
   cost.construct_secs = seconds_since(t0);
   t0 = Clock::now();
@@ -157,18 +143,19 @@ std::uint64_t churn(CachePlane& plane) {
   return checksum;
 }
 
-double bench_churn(bool use_legacy, std::uint64_t* checksum) {
+double bench_churn(bool reference, std::uint64_t* checksum) {
   return best_time([&] {
     CachePlaneConfig config;
     config.num_users = kChurnUsers;
     config.capacity = kCapacity;
     config.seed = 7;
-    auto plane = make_cache_plane(CacheKind::kLru, config, use_legacy);
+    auto plane = make_plane(config, reference);
     *checksum = churn(*plane);
   });
 }
 
-double bench_trace_replay(bool use_legacy, std::uint64_t* requests_out) {
+/// Requests per second of the arena plane inside a 50k-user trace replay.
+double bench_trace_replay() {
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = 50000;
   trace_cfg.num_requests = 200000;
@@ -183,15 +170,12 @@ double bench_trace_replay(bool use_legacy, std::uint64_t* requests_out) {
   replay_cfg.bandwidth = 1200.0;
   replay_cfg.cache_capacity = kCapacity;
   replay_cfg.max_prefetch_per_request = 4;
-  replay_cfg.use_legacy_caches = use_legacy;
   std::uint64_t requests = 0;
   const double secs = best_time([&] {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto result = run_trace_replay(trace, replay_cfg, policy);
-    requests = result.requests;
+    requests = run_trace_replay(trace, replay_cfg, policy).requests;
   });
-  *requests_out = requests;
-  return secs;
+  return static_cast<double>(requests) / secs;
 }
 
 }  // namespace
@@ -270,43 +254,10 @@ int main(int argc, char** argv) {
   metrics.push_back({"cache.churn.arena_vs_legacy_speedup",
                      legacy_churn_secs / arena_churn_secs, "x"});
 
-  // End-to-end replay.
-  std::uint64_t arena_requests = 0, legacy_requests = 0;
-  const double arena_replay_secs = bench_trace_replay(false, &arena_requests);
-  const double legacy_replay_secs = bench_trace_replay(true, &legacy_requests);
-  if (arena_requests != legacy_requests) {
-    std::fprintf(stderr, "trace replay backends diverged: arena=%llu legacy=%llu\n",
-                 static_cast<unsigned long long>(arena_requests),
-                 static_cast<unsigned long long>(legacy_requests));
-    return 1;
-  }
+  // End-to-end replay (the arena plane only: the stack has no other).
   metrics.push_back({"cache.trace_replay.arena_requests_per_sec",
-                     static_cast<double>(arena_requests) / arena_replay_secs,
-                     "requests/s"});
-  metrics.push_back({"cache.trace_replay.legacy_requests_per_sec",
-                     static_cast<double>(legacy_requests) / legacy_replay_secs,
-                     "requests/s"});
-  metrics.push_back({"cache.trace_replay.arena_vs_legacy_speedup",
-                     legacy_replay_secs / arena_replay_secs, "x"});
+                     bench_trace_replay(), "requests/s"});
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-45s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
+  if (!bench::write_bench_json(path, metrics)) return 1;
   return 0;
 }

@@ -1,4 +1,5 @@
-// Micro-benchmarks for the cache policies and access predictors.
+// Micro-benchmarks for the node-based reference caches and predictor tables
+// (tests/reference/), plus PPM's arena plane against its reference table.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -15,6 +16,7 @@
 #include "predict/markov.hpp"
 #include "predict/ppm.hpp"
 #include "predict/predictor_plane.hpp"
+#include "predict/reference_predictors.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
 #include "workload/session_graph.hpp"
@@ -123,17 +125,18 @@ std::vector<std::pair<UserId, std::uint64_t>> wide_fan_out_stream() {
 }
 
 /// Order-3 PPM at 4 candidates on the wide-fan-out stream, arena plane
-/// (arg 0) against the legacy table (arg 1). The tables see the whole
+/// (arg 0) against the reference table (arg 1). The tables see the whole
 /// stream once before timing, then every iteration observes one event and
 /// predicts for its user.
 void BM_PpmPlane_WideFanOut(benchmark::State& state) {
-  const bool use_legacy = state.range(0) != 0;
+  const bool reference = state.range(0) != 0;
   static const auto stream = wide_fan_out_stream();
   PredictorPlaneConfig cfg;
   cfg.num_users = kFanOutUsers;
   cfg.ppm_order = 3;
   cfg.max_candidates = 4;
-  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, use_legacy);
+  auto plane = reference ? make_table_predictor_plane(PredictorKind::kPpm, cfg)
+                         : make_predictor_plane(PredictorKind::kPpm, cfg);
   for (const auto& [user, item] : stream) plane->observe(user, item);
   std::vector<core::Candidate> scratch;
   std::size_t i = 0;
@@ -145,7 +148,7 @@ void BM_PpmPlane_WideFanOut(benchmark::State& state) {
     if (++i == stream.size()) i = 0;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(use_legacy ? "legacy" : "plane");
+  state.SetLabel(reference ? "reference" : "plane");
   state.counters["full_scans"] = static_cast<double>(plane->full_scans());
 }
 BENCHMARK(BM_PpmPlane_WideFanOut)->Arg(0)->Arg(1);

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "policy/policies.hpp"
 #include "shard/sharded_sim.hpp"
 #include "sim/trace_replay.hpp"
@@ -34,13 +35,13 @@
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
+using bench::Metric;
 
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+/// Best of two runs (the replays are seconds-long).
+template <typename F>
+double best_of_two(const F& body) {
+  return bench::best_time(body, 2, 0.0);
+}
 
 Trace make_flash_trace() {
   SyntheticTraceConfig cfg;
@@ -77,18 +78,6 @@ std::unique_ptr<PrefetchPolicy> aggressive_policy() {
 
 PolicyFactory aggressive_factory() {
   return [] { return make_policy_by_name("fixed-0.05"); };
-}
-
-template <typename F>
-double best_of_two(const F& body) {
-  double best = 1e30;
-  for (int i = 0; i < 2; ++i) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (dt < best) best = dt;
-  }
-  return best;
 }
 
 bool results_equal(const ProxySimResult& a, const ProxySimResult& b) {
@@ -245,24 +234,6 @@ int main(int argc, char** argv) {
                      static_cast<double>(requests) / governed_secs,
                      "requests/s"});
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-55s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
+  if (!bench::write_bench_json(path, metrics)) return 1;
   return 0;
 }

@@ -10,17 +10,17 @@
 // and every thread count must produce bit-identical merged results.
 //
 // Note: thread scaling is hardware-bound — the speedup metric records
-// whatever the host provides (hardware_concurrency is included in the
-// output for context; on a 1-core container the sweep degenerates to ~1x).
+// whatever the host provides (the snapshot's provenance block records
+// hardware_concurrency; on a 1-core container the sweep degenerates to ~1x).
 //
 // Usage: perf_shard [output.json]   (default: BENCH_shard.json)
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "policy/policies.hpp"
 #include "shard/sharded_sim.hpp"
 #include "sim/trace_replay.hpp"
@@ -29,13 +29,15 @@
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
+using bench::Metric;
 
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+/// Best of two runs — replay configs are seconds-long, so the 0.5s-repeat
+/// default of bench::best_time would triple the wall time for no extra
+/// signal.
+template <typename F>
+double best_of_two(const F& body) {
+  return bench::best_time(body, 2, 0.0);
+}
 
 Trace make_trace() {
   SyntheticTraceConfig cfg;
@@ -63,20 +65,6 @@ PolicyFactory threshold_factory() {
   return [] {
     return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
   };
-}
-
-/// Best of two runs — replay configs are seconds-long, so the perf_stack
-/// 0.5s-repeat harness would triple the wall time for no extra signal.
-template <typename F>
-double best_of_two(const F& body) {
-  double best = 1e30;
-  for (int i = 0; i < 2; ++i) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (dt < best) best = dt;
-  }
-  return best;
 }
 
 bool results_equal(const ProxySimResult& a, const ProxySimResult& b) {
@@ -174,28 +162,6 @@ int main(int argc, char** argv) {
   metrics.push_back({"shard.replay.shard8_cross_shard_events",
                      static_cast<double>(reference.cross_shard_events),
                      "events"});
-  metrics.push_back(
-      {"shard.host_hardware_concurrency",
-       static_cast<double>(std::thread::hardware_concurrency()), "threads"});
-
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-50s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
+  if (!bench::write_bench_json(path, metrics)) return 1;
   return 0;
 }

@@ -1,31 +1,32 @@
 // Stack perf-trajectory recorder: isolates the request data plane — the
-// in-flight transfer map, the predictor tables, and the full proxy/replay
+// in-flight transfer map, the predictor planes, and the full proxy/replay
 // stacks — with a plain chrono harness (no google-benchmark dependency) and
 // writes BENCH_stack.json alongside BENCH_engine.json, so the perf history
 // covers the stack and not just the engine.
 //
-// The "tree" numbers run the same code with the legacy std::map in-flight
-// backend (StackRuntimeConfig::use_tree_inflight), the exact baseline the
-// flat-hash data plane replaced. The "legacy" predictor numbers run the
-// original virtual Predictor tables (use_legacy_predictors), the baseline
-// the slab-backed predictor plane replaced.
+// The "tree" in-flight numbers run the same churn against std::map, the
+// container the flat hash replaced. The "legacy" predictor numbers run the
+// original virtual Predictor tables from tests/reference/, the baseline the
+// slab-backed predictor plane replaced; both sides must predict
+// identically before either is timed.
 //
 // Usage: perf_stack [output.json] [--check-plane-speedup]
 //   (default output: BENCH_stack.json; --check-plane-speedup exits nonzero
-//    if any plane predictor benches slower than its legacy table, with a
-//    small noise tolerance — the CI perf-smoke regression gate)
+//    if any plane predictor benches slower than its reference table, with
+//    a small noise tolerance — the CI perf-smoke regression gate)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "policy/policies.hpp"
 #include "predict/predictor_plane.hpp"
+#include "predict/reference_predictors.hpp"
 #include "sim/proxy_sim.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/flat_hash.hpp"
@@ -35,33 +36,8 @@
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+using bench::best_time;
+using bench::Metric;
 
 // Mirrors StackRuntime::Inflight: a tag plus a usually-empty waiter list.
 struct InflightPayload {
@@ -150,18 +126,20 @@ std::vector<std::pair<UserId, std::uint64_t>> make_predictor_stream(
   return stream;
 }
 
+/// The plane for `kind`, or its reference table when `reference` is set.
 std::unique_ptr<PredictorPlane> make_bench_plane(PredictorKind kind,
                                                  const SessionGraph& graph,
-                                                 bool use_legacy) {
+                                                 bool reference) {
   PredictorPlaneConfig config;
   config.num_users = kPredictorUsers;
   config.graph = &graph;
-  return make_predictor_plane(kind, config, use_legacy);
+  return reference ? make_table_predictor_plane(kind, config)
+                    : make_predictor_plane(kind, config);
 }
 
-/// Replays a prefix of the stream through both backends, comparing
-/// predictions exactly — a cheap pre-timing guard so the perf gate can
-/// never bless a plane that silently diverged from the legacy tables.
+/// Replays a prefix of the stream through the plane and its reference
+/// table, comparing predictions exactly — a cheap pre-timing guard so the
+/// perf gate can never bless a plane that silently diverged.
 bool predictor_backends_agree(
     PredictorKind kind, const SessionGraph& graph,
     const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
@@ -190,10 +168,10 @@ bool predictor_backends_agree(
 /// Observe-throughput phase: table construction from a cold start, no
 /// prediction — isolates intern/counter-bump cost.
 double bench_predictor_observe(
-    PredictorKind kind, const SessionGraph& graph, bool use_legacy,
+    PredictorKind kind, const SessionGraph& graph, bool reference,
     const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
   return best_time([&] {
-    auto predictor = make_bench_plane(kind, graph, use_legacy);
+    auto predictor = make_bench_plane(kind, graph, reference);
     for (const auto& [user, item] : stream) predictor->observe(user, item);
   });
 }
@@ -202,9 +180,9 @@ double bench_predictor_observe(
 /// predict_into(8) per event into a reused scratch buffer — isolates
 /// ranking/top-k cost.
 double bench_predictor_predict(
-    PredictorKind kind, const SessionGraph& graph, bool use_legacy,
+    PredictorKind kind, const SessionGraph& graph, bool reference,
     const std::vector<std::pair<UserId, std::uint64_t>>& stream) {
-  auto predictor = make_bench_plane(kind, graph, use_legacy);
+  auto predictor = make_bench_plane(kind, graph, reference);
   for (const auto& [user, item] : stream) predictor->observe(user, item);
   std::vector<core::Candidate> scratch;
   return best_time([&] {
@@ -217,25 +195,24 @@ double bench_predictor_predict(
   });
 }
 
-double bench_proxy_sim(bool use_tree, std::uint64_t* requests_out) {
+/// Requests per second of the generative proxy sim (markov + threshold).
+double bench_proxy_sim() {
   ProxySimConfig config;
   config.num_users = 8;
   config.duration = 300.0;
   config.warmup = 30.0;
   config.seed = 11;
   config.predictor_kind = ProxySimConfig::PredictorKind::kMarkov;
-  config.use_tree_inflight = use_tree;
   std::uint64_t requests = 0;
   const double secs = best_time([&] {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto result = run_proxy_sim(config, policy);
-    requests = result.requests;
+    requests = run_proxy_sim(config, policy).requests;
   });
-  *requests_out = requests;
-  return secs;
+  return static_cast<double>(requests) / secs;
 }
 
-double bench_trace_replay(bool use_tree, std::uint64_t* requests_out) {
+/// Requests per second of a 50k-user trace replay (markov + threshold).
+double bench_trace_replay() {
   SyntheticTraceConfig trace_cfg;
   trace_cfg.num_users = 50000;
   trace_cfg.num_requests = 200000;
@@ -250,15 +227,12 @@ double bench_trace_replay(bool use_tree, std::uint64_t* requests_out) {
   replay_cfg.bandwidth = 1200.0;
   replay_cfg.cache_capacity = 8;
   replay_cfg.max_prefetch_per_request = 4;
-  replay_cfg.use_tree_inflight = use_tree;
   std::uint64_t requests = 0;
   const double secs = best_time([&] {
     ThresholdPolicy policy(core::InteractionModel::kModelA);
-    const auto result = run_trace_replay(trace, replay_cfg, policy);
-    requests = result.requests;
+    requests = run_trace_replay(trace, replay_cfg, policy).requests;
   });
-  *requests_out = requests;
-  return secs;
+  return static_cast<double>(requests) / secs;
 }
 
 }  // namespace
@@ -292,7 +266,7 @@ int main(int argc, char** argv) {
   metrics.push_back({"stack.inflight_churn.flat_vs_tree_speedup",
                      tree_churn_secs / flat_churn_secs, "x"});
 
-  // Predictor plane vs legacy tables: all five kinds, observe and predict
+  // Predictor plane vs reference tables: all five kinds, observe and predict
   // phases timed separately over one shared session-structured stream.
   const std::size_t kPredictorEvents = 200000;
   SessionGraphConfig pred_gcfg;
@@ -306,7 +280,7 @@ int main(int argc, char** argv) {
     const auto kind = static_cast<PredictorKind>(k);
     const std::string name = predictor_kind_name(kind);
     if (!predictor_backends_agree(kind, pred_graph, pred_stream)) {
-      std::fprintf(stderr, "%s plane diverged from legacy tables\n",
+      std::fprintf(stderr, "%s plane diverged from its reference table\n",
                    name.c_str());
       return 1;
     }
@@ -333,71 +307,18 @@ int main(int argc, char** argv) {
     // 5% tolerance absorbs timer noise on the cheap kinds without letting a
     // real regression through.
     if (speedup < 0.95) {
-      std::fprintf(stderr, "%s plane slower than legacy: %.3fx\n",
+      std::fprintf(stderr, "%s plane slower than its reference table: %.3fx\n",
                    name.c_str(), speedup);
       plane_regressed = true;
     }
   }
   if (check_plane_speedup && plane_regressed) return 1;
 
-  std::uint64_t proxy_flat_requests = 0, proxy_tree_requests = 0;
-  const double proxy_flat_secs = bench_proxy_sim(false, &proxy_flat_requests);
-  const double proxy_tree_secs = bench_proxy_sim(true, &proxy_tree_requests);
-  if (proxy_flat_requests != proxy_tree_requests) {
-    std::fprintf(stderr, "proxy sim backends diverged: flat=%llu tree=%llu\n",
-                 static_cast<unsigned long long>(proxy_flat_requests),
-                 static_cast<unsigned long long>(proxy_tree_requests));
-    return 1;
-  }
-  metrics.push_back({"stack.proxy_sim.flat_requests_per_sec",
-                     static_cast<double>(proxy_flat_requests) / proxy_flat_secs,
-                     "requests/s"});
-  metrics.push_back({"stack.proxy_sim.tree_requests_per_sec",
-                     static_cast<double>(proxy_tree_requests) / proxy_tree_secs,
-                     "requests/s"});
-  metrics.push_back({"stack.proxy_sim.flat_vs_tree_speedup",
-                     proxy_tree_secs / proxy_flat_secs, "x"});
-
-  std::uint64_t replay_flat_requests = 0, replay_tree_requests = 0;
-  const double replay_flat_secs =
-      bench_trace_replay(false, &replay_flat_requests);
-  const double replay_tree_secs =
-      bench_trace_replay(true, &replay_tree_requests);
-  if (replay_flat_requests != replay_tree_requests) {
-    std::fprintf(stderr, "trace replay backends diverged: flat=%llu tree=%llu\n",
-                 static_cast<unsigned long long>(replay_flat_requests),
-                 static_cast<unsigned long long>(replay_tree_requests));
-    return 1;
-  }
   metrics.push_back(
-      {"stack.trace_replay.flat_requests_per_sec",
-       static_cast<double>(replay_flat_requests) / replay_flat_secs,
-       "requests/s"});
-  metrics.push_back(
-      {"stack.trace_replay.tree_requests_per_sec",
-       static_cast<double>(replay_tree_requests) / replay_tree_secs,
-       "requests/s"});
-  metrics.push_back({"stack.trace_replay.flat_vs_tree_speedup",
-                     replay_tree_secs / replay_flat_secs, "x"});
+      {"stack.proxy_sim.requests_per_sec", bench_proxy_sim(), "requests/s"});
+  metrics.push_back({"stack.trace_replay.requests_per_sec",
+                     bench_trace_replay(), "requests/s"});
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-45s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
+  if (!bench::write_bench_json(path, metrics)) return 1;
   return 0;
 }

@@ -27,10 +27,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "policy/policies.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/mem.hpp"
@@ -40,33 +40,10 @@
 namespace {
 
 using namespace specpf;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Runs `body` repeatedly until ~0.5s elapses; returns best seconds/call.
-double best_time(const std::function<void()>& body) {
-  double best = 1e30;
-  double total = 0.0;
-  int calls = 0;
-  while (total < 0.5 || calls < 3) {
-    const auto t0 = Clock::now();
-    body();
-    const double dt = seconds_since(t0);
-    if (dt < best) best = dt;
-    total += dt;
-    ++calls;
-  }
-  return best;
-}
-
-struct Metric {
-  std::string name;
-  double value;
-  std::string unit;
-};
+using bench::Clock;
+using bench::best_time;
+using bench::seconds_since;
+using bench::Metric;
 
 SyntheticTraceConfig make_trace_config(std::size_t requests) {
   SyntheticTraceConfig cfg;
@@ -230,24 +207,6 @@ int main(int argc, char** argv) {
                        streamed_secs / ram_secs, "x"});
   }
 
-  std::FILE* out = std::fopen(path, "w");
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"value\": %.6g, \"unit\": \"%s\"}%s\n",
-                 metrics[i].name.c_str(), metrics[i].value,
-                 metrics[i].unit.c_str(), i + 1 < metrics.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-  for (const auto& m : metrics) {
-    std::printf("  %-48s %14.4g %s\n", m.name.c_str(), m.value,
-                m.unit.c_str());
-  }
+  if (!bench::write_bench_json(path, metrics)) return 1;
   return 0;
 }

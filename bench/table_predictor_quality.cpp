@@ -10,11 +10,7 @@
 #include <map>
 #include <memory>
 
-#include "predict/dependency_graph.hpp"
-#include "predict/frequency.hpp"
-#include "predict/markov.hpp"
-#include "predict/oracle.hpp"
-#include "predict/ppm.hpp"
+#include "predict/predictor_plane.hpp"
 #include "util/argparse.hpp"
 #include "util/table.hpp"
 #include "workload/session_graph.hpp"
@@ -33,7 +29,7 @@ struct Calibration {
   std::uint64_t brier_terms = 0;
 };
 
-Calibration evaluate(Predictor& predictor, const SessionGraph& graph,
+Calibration evaluate(PredictorPlane& predictor, const SessionGraph& graph,
                      std::size_t requests, std::uint64_t seed) {
   Calibration cal;
   Rng rng(seed);
@@ -83,17 +79,20 @@ int main(int argc, char** argv) {
   gcfg.link_skew = 1.5;
   const SessionGraph graph(gcfg, 5);
 
+  // Default plane knobs: PPM order 3, dependency-graph lookahead 4.
   struct Entry {
     std::string name;
-    std::unique_ptr<Predictor> predictor;
+    PredictorKind kind;
   };
-  std::vector<Entry> predictors;
-  predictors.push_back({"oracle", std::make_unique<OraclePredictor>(graph)});
-  predictors.push_back({"markov", std::make_unique<MarkovPredictor>()});
-  predictors.push_back({"ppm(3)", std::make_unique<PpmPredictor>(3)});
-  predictors.push_back(
-      {"depgraph(4)", std::make_unique<DependencyGraphPredictor>(4)});
-  predictors.push_back({"frequency", std::make_unique<FrequencyPredictor>()});
+  const Entry predictors[] = {
+      {"oracle", PredictorKind::kOracle},
+      {"markov", PredictorKind::kMarkov},
+      {"ppm(3)", PredictorKind::kPpm},
+      {"depgraph(4)", PredictorKind::kDependencyGraph},
+      {"frequency", PredictorKind::kFrequency},
+  };
+  PredictorPlaneConfig plane_config;
+  plane_config.graph = &graph;
 
   Table table({"predictor", "top-1 acc", "brier", "cal 0.1-0.2", "cal 0.3-0.4",
                "cal 0.5-0.6", "cal 0.7-0.8"});
@@ -102,8 +101,9 @@ int main(int argc, char** argv) {
                   "well-calibrated ⇒ value ≈ bucket midpoint)");
   table.set_precision(4);
 
-  for (auto& entry : predictors) {
-    const Calibration cal = evaluate(*entry.predictor, graph, requests, 99);
+  for (const Entry& entry : predictors) {
+    const auto predictor = make_predictor_plane(entry.kind, plane_config);
+    const Calibration cal = evaluate(*predictor, graph, requests, 99);
     auto bucket_freq = [&](std::size_t b) -> Cell {
       if (cal.predicted[b] < 50) return std::string("n/a");
       return static_cast<double>(cal.realized[b]) /

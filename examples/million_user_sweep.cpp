@@ -171,12 +171,6 @@ int main(int argc, char** argv) {
   args.add_flag("governor", "",
                 "prefetch governor: noop|token-<rate>|aimd-<setpoint>|"
                 "conf-<precision> (empty = ungoverned)");
-  args.add_flag("legacy-caches", "false",
-                "run the legacy per-user TaggedCache fleet instead of the "
-                "block-arena cache plane");
-  args.add_flag("legacy-predictors", "false",
-                "run the legacy virtual Predictor tables instead of the "
-                "slab-backed SoA predictor plane");
   args.add_flag("trace", "",
                 "export a Chrome trace-event JSON (Perfetto-loadable) per "
                 "policy; '-<policy>' is inserted before the extension");
@@ -339,8 +333,6 @@ int main(int argc, char** argv) {
   replay_cfg.predictor_kind = TraceReplayConfig::PredictorKind::kMarkov;
   replay_cfg.max_prefetch_per_request = 4;
   replay_cfg.seed = trace_cfg.seed;
-  replay_cfg.use_legacy_caches = args.get_bool("legacy-caches");
-  replay_cfg.use_legacy_predictors = args.get_bool("legacy-predictors");
   replay_cfg.governor = args.get_string("governor");
   replay_cfg.stream_window =
       static_cast<std::size_t>(args.get_int("stream-window"));
@@ -443,9 +435,7 @@ int main(int argc, char** argv) {
     if (!deterministic) nondeterministic += ' ' + name;
   }
   std::printf("\n%s\n", table.to_markdown().c_str());
-  std::printf("cache backend: %s, governor: %s, supply: %s\n",
-              replay_cfg.use_legacy_caches ? "legacy TaggedCache fleet"
-                                           : "block-arena plane",
+  std::printf("governor: %s, supply: %s\n",
               replay_cfg.governor.empty() ? "(ungoverned)"
                                           : replay_cfg.governor.c_str(),
               ram ? "in-RAM trace" : "streamed source");

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
@@ -369,43 +370,30 @@ int main(int argc, char** argv) {
   // ---- Benchmark JSON ------------------------------------------------
   const std::string out_path = args.get_string("out");
   if (!out_path.empty()) {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"schema\": 1,\n  \"benchmarks\": [\n");
-    bool first = true;
-    const auto emit = [&](const std::string& name, double value,
-                          const char* unit) {
-      std::fprintf(f, "%s    {\"name\": \"%s\", \"value\": %.6g, "
-                      "\"unit\": \"%s\"}",
-                   first ? "" : ",\n", name.c_str(), value, unit);
-      first = false;
-    };
+    std::vector<bench::Metric> metrics;
     for (const GridCell& c : cells) {
       const std::string base = "stability/" + c.scenario + "/rate-" +
                                compact_number(c.rate_mult) + "/" + c.label;
-      emit(base + "/verdict", static_cast<double>(c.verdict), "verdict");
-      emit(base + "/onset", c.onset, "s");
-      emit(base + "/peak_depth", c.peak_depth, "jobs");
-      emit(base + "/instant_hit", c.instant_hit, "ratio");
-      emit(base + "/analytic_rho", c.analytic_rho, "rho");
-      emit(base + "/aborted", c.aborted ? 1.0 : 0.0, "bool");
-      emit(base + "/wall_s", c.wall_s, "s");
+      metrics.push_back({base + "/verdict", static_cast<double>(c.verdict),
+                         "verdict"});
+      metrics.push_back({base + "/onset", c.onset, "s"});
+      metrics.push_back({base + "/peak_depth", c.peak_depth, "jobs"});
+      metrics.push_back({base + "/instant_hit", c.instant_hit, "ratio"});
+      metrics.push_back({base + "/analytic_rho", c.analytic_rho, "rho"});
+      metrics.push_back({base + "/aborted", c.aborted ? 1.0 : 0.0, "bool"});
+      metrics.push_back({base + "/wall_s", c.wall_s, "s"});
     }
-    emit("stability/cells", static_cast<double>(cells.size()), "count");
-    emit("stability/stable_cells", static_cast<double>(stable_cells),
-         "count");
-    emit("stability/metastable_cells",
-         static_cast<double>(metastable_cells), "count");
-    emit("stability/divergent_cells", static_cast<double>(divergent_cells),
-         "count");
-    emit("stability/aborted_cells", static_cast<double>(aborted_cells),
-         "count");
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
+    metrics.push_back(
+        {"stability/cells", static_cast<double>(cells.size()), "count"});
+    metrics.push_back({"stability/stable_cells",
+                       static_cast<double>(stable_cells), "count"});
+    metrics.push_back({"stability/metastable_cells",
+                       static_cast<double>(metastable_cells), "count"});
+    metrics.push_back({"stability/divergent_cells",
+                       static_cast<double>(divergent_cells), "count"});
+    metrics.push_back({"stability/aborted_cells",
+                       static_cast<double>(aborted_cells), "count"});
+    if (!bench::write_bench_json(out_path, metrics, /*echo=*/false)) return 1;
   }
 
   // ---- Early-abort wall-clock gate -----------------------------------

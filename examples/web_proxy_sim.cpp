@@ -25,8 +25,6 @@ int main(int argc, char** argv) {
   args.add_flag("link-skew", "1.4", "Zipf skew across a page's links");
   args.add_flag("seed", "2001", "random seed");
   args.add_flag("predictor", "markov", "markov|ppm|depgraph|frequency|oracle");
-  args.add_flag("legacy-predictors", "0",
-                "1 = legacy virtual tables instead of the SoA plane");
   if (!args.parse(argc, argv)) return 1;
 
   ProxySimConfig cfg;
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown predictor '%s'\n", predictor.c_str());
     return 1;
   }
-  cfg.use_legacy_predictors = args.get_int("legacy-predictors") != 0;
 
   std::printf("web proxy: %zu clients, b=%.0f, %zu pages, predictor=%s\n\n",
               cfg.num_users, cfg.bandwidth, cfg.graph.num_pages,

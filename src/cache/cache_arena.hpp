@@ -1,10 +1,9 @@
 // CacheArena — per-user fixed blocks for a million user caches.
 //
-// The legacy cache layer gives every user a heap-allocated TaggedCache plus
-// a virtual Cache built on std::list/std::unordered_map nodes: at the
-// million-user scale of the ROADMAP sweeps, that per-user node soup
-// dominates RSS and constructor time. The arenas replace all of it with one
-// flat array per fleet: user u owns the fixed block of `capacity` packed
+// A heap-allocated cache object per user, built on list and hash-map nodes,
+// would let per-user node soup dominate RSS and constructor time at the
+// million-user scale of the ROADMAP sweeps. The arenas keep one flat array
+// per fleet instead: user u owns the fixed block of `capacity` packed
 // entries starting at u * capacity, plus a few bytes of per-user view
 // (chain ends, CLOCK hand, resident count).
 //
@@ -19,10 +18,11 @@
 //     kMaxCacheCapacity entries. The fleet reserves capacity × entry bytes
 //     per user up front, whether or not the user ever fills the block.
 //
-// Each policy arena reproduces its legacy counterpart's eviction decisions
-// bit-for-bit (same victims, same tags, same RNG draws for the random
-// policy); tests/cache_plane_test.cpp and the stack differential matrix pin
-// that equivalence.
+// Each policy arena reproduces the eviction decisions of the node-based
+// reference caches in tests/reference/cache/ bit for bit (same victims,
+// same tags, same RNG draws for the random policy);
+// tests/cache_plane_test.cpp pins that equivalence, and the golden
+// digests in tests/sim_trace_replay_test.cpp pin the full stack.
 //
 // Eviction policy is a compile-time template parameter of the plane built
 // on top of these arenas (cache/cache_plane.hpp), dispatched once per run.
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hpp"
+#include "cache/cache_types.hpp"
 #include "util/audit.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
@@ -319,7 +319,7 @@ struct LfuNode {  // 16 bytes
 /// LFU with each user's nodes carrying their frequency, threaded into ONE
 /// chain kept in flattened bucket order — ascending frequency,
 /// most-recently-bumped first within a frequency. That ordering makes the
-/// legacy bucket structure's operations pure chain operations:
+/// reference LfuCache's bucket operations pure chain operations:
 ///   * new item (freq 1)  -> push_front (front of the freq-1 bucket),
 ///   * bump f -> f+1      -> reinsert before the first node with freq > f
 ///                           (the front of the f+1 bucket),
@@ -437,8 +437,8 @@ struct ClockView {
 };
 
 /// CLOCK (second chance). Occupied frames are a dense prefix, so the
-/// legacy "first unoccupied frame" scan reduces to the size counter; once
-/// full, the hand sweep is identical to the legacy ClockCache's.
+/// reference ClockCache's "first unoccupied frame" scan reduces to the
+/// size counter; once full, the hand sweep is identical to its sweep.
 class ClockArena : public BlockArena<ClockFrame, ClockView> {
  public:
   using BlockArena::BlockArena;
@@ -516,9 +516,8 @@ struct RandomView {
 };
 
 /// Random replacement with swap-with-last removal and one Xoshiro stream
-/// per user, seeded exactly like the legacy plane (root.substream(100 +
-/// user)), so victim draws are bit-identical to a fleet of legacy
-/// RandomCaches.
+/// per user, seeded as root.substream(100 + user), so victim draws are
+/// bit-identical to a fleet of reference RandomCaches.
 class RandomArena : public BlockArena<RandomEntry, RandomView> {
  public:
   RandomArena(std::size_t num_users, std::size_t capacity, std::uint64_t seed)

@@ -2,18 +2,16 @@
 
 #include "util/contract.hpp"
 #include "util/math.hpp"
-#include "util/rng.hpp"
 
 namespace specpf {
 
 namespace {
 
-/// §4 protocol state of one user — everything the old TaggedCache carried
-/// besides the entries themselves, with the counters packed to 32 bits
-/// (16 bytes/user instead of 32; one user cannot plausibly issue 4 billion
-/// requests in a run — the legacy backend stores 64 bits). Arithmetic
-/// mirrors core::HitRatioEstimator / tagged_model_b_estimate expression
-/// for expression; the differential tests pin the backends bit-identical.
+/// §4 protocol state of one user — everything besides the entries
+/// themselves, with the counters packed to 32 bits (16 bytes/user; one user
+/// cannot plausibly issue 4 billion requests in a run). Arithmetic mirrors
+/// core::HitRatioEstimator expression for expression; the differential
+/// tests pin it bit-identical to the reference TaggedCache fleet.
 struct TaggedUserState {
   std::uint32_t naccess = 0;
   std::uint32_t nhit = 0;
@@ -34,9 +32,9 @@ struct TaggedUserState {
   }
 };
 
-/// The arena backend: policy entries in per-user arena blocks, protocol
-/// state in one flat vector. Policy is a compile-time parameter; every
-/// method below is fully monomorphic after the make_cache_plane dispatch.
+/// Policy entries in per-user arena blocks, protocol state in one flat
+/// vector. Policy is a compile-time parameter; every method below is fully
+/// monomorphic after the make_cache_plane dispatch.
 template <typename Policy>
 class ArenaCachePlane final : public CachePlane {
  public:
@@ -141,99 +139,10 @@ class ArenaCachePlane final : public CachePlane {
   EvictionObserver observer_;
 };
 
-/// The legacy backend: one heap TaggedCache (wrapping a virtual Cache) per
-/// user, constructed exactly as the pre-arena StackRuntime did — the
-/// differential baseline.
-class LegacyCachePlane final : public CachePlane {
- public:
-  LegacyCachePlane(CacheKind kind, const CachePlaneConfig& config) {
-    SPECPF_EXPECTS(config.num_users >= 1);
-    Rng root(config.seed);
-    caches_.reserve(config.num_users);
-    for (std::size_t u = 0; u < config.num_users; ++u) {
-      auto inner = make_cache(kind, config.capacity,
-                              root.substream(100 + u).next_u64());
-      inner->set_eviction_hook(
-          [this, user = static_cast<std::uint32_t>(u)](ItemId item,
-                                                       core::EntryTag tag) {
-            if (observer_) observer_(user, item, tag);
-          });
-      caches_.push_back(std::make_unique<TaggedCache>(std::move(inner)));
-    }
-  }
-
-  AccessOutcome access(std::uint32_t user, ItemId item) override {
-    return caches_[user]->access(item);
-  }
-  void admit_demand(std::uint32_t user, ItemId item) override {
-    caches_[user]->admit_demand(item);
-  }
-  void admit_prefetch(std::uint32_t user, ItemId item) override {
-    caches_[user]->admit_prefetch(item);
-  }
-  void admit_prefetch_accessed(std::uint32_t user, ItemId item) override {
-    caches_[user]->admit_prefetch_accessed(item);
-  }
-  bool contains(std::uint32_t user, ItemId item) const override {
-    return caches_[user]->inner().contains(item);
-  }
-  std::size_t size(std::uint32_t user) const override {
-    return caches_[user]->inner().size();
-  }
-
-  double estimate(std::uint32_t user,
-                  core::InteractionModel model) const override {
-    return model == core::InteractionModel::kModelA
-               ? caches_[user]->estimate_model_a()
-               : caches_[user]->estimate_model_b();
-  }
-
-  CachePlaneTotals totals(core::InteractionModel model) const override {
-    CachePlaneTotals out;
-    for (std::uint32_t u = 0; u < caches_.size(); ++u) {
-      out.hprime_sum += estimate(u, model);
-      out.prefetch_inserts += caches_[u]->prefetch_inserts();
-      out.prefetch_first_uses += caches_[u]->prefetch_first_uses();
-    }
-    return out;
-  }
-
-  std::uint64_t prefetch_inserts(std::uint32_t user) const override {
-    return caches_[user]->prefetch_inserts();
-  }
-  std::uint64_t prefetch_first_uses(std::uint32_t user) const override {
-    return caches_[user]->prefetch_first_uses();
-  }
-
-  void set_eviction_observer(EvictionObserver observer) override {
-    observer_ = std::move(observer);
-  }
-
-  void audit(AuditReport& report) const override {
-    // The legacy entries live in std::list/std::unordered_map nodes that
-    // ASan already watches; only the §4 counters are worth re-deriving.
-    const AuditScope scope(report, "LegacyCachePlane");
-    for (std::uint32_t u = 0; u < caches_.size(); ++u) {
-      report.check(
-          caches_[u]->prefetch_first_uses() <= caches_[u]->prefetch_inserts(),
-          "user " + std::to_string(u) +
-              ": prefetch first uses > prefetch inserts");
-    }
-  }
-
- private:
-  std::vector<std::unique_ptr<TaggedCache>> caches_;
-  EvictionObserver observer_;
-};
-
 }  // namespace
 
 std::unique_ptr<CachePlane> make_cache_plane(CacheKind kind,
-                                             const CachePlaneConfig& config,
-                                             bool use_legacy) {
-  if (use_legacy) {
-    return std::make_unique<LegacyCachePlane>(kind, config);
-  }
+                                             const CachePlaneConfig& config) {
   // The once-per-run policy dispatch.
   switch (kind) {
     case CacheKind::kLru:

@@ -1,26 +1,18 @@
 // CachePlane — the fleet-wide client-cache layer behind StackRuntime.
 //
 // One plane owns every user's cache plus the §4 tagged/untagged estimation
-// state, replacing the legacy vector of unique_ptr<TaggedCache> (each
-// wrapping a virtual Cache full of list/map nodes). Two backends:
+// state. Every user's entries live in a fixed block of the policy's
+// CacheArena (cache/cache_arena.hpp), residency is a scan of that block's
+// occupied prefix, and the eviction policy is a compile-time template
+// parameter of ArenaCachePlane<Policy>, dispatched ONCE per run in
+// make_cache_plane — one arena per policy at every capacity. After that
+// single dispatch, a request's cache work (lookup, tag protocol, eviction)
+// runs with no virtual calls and no per-hook std::function — one
+// monomorphic virtual hop into the plane per operation, total.
 //
-//   * ArenaCachePlane<Policy> — the default: every user's entries live in a
-//     fixed block of the policy's CacheArena (cache/cache_arena.hpp),
-//     residency is a scan of that block's occupied prefix, and the eviction
-//     policy is a compile-time template parameter dispatched ONCE per run
-//     in make_cache_plane — one arena per policy at every capacity. After
-//     that single dispatch, a request's cache work (lookup, tag protocol,
-//     eviction) runs with no virtual calls and no per-hook std::function —
-//     one monomorphic virtual hop into the plane per operation, total.
-//
-//   * LegacyCachePlane — the original per-user TaggedCache objects, kept
-//     behind StackRuntimeConfig::use_legacy_caches (same pattern as
-//     use_tree_inflight) as the byte-identical reference backend for
-//     differential tests and the memory/throughput baseline.
-//
-// Both backends implement the §4 protocol with identical arithmetic;
-// tests/cache_plane_test.cpp and the stack differential matrix pin
-// bit-identical results across all five eviction policies.
+// The plane reproduces the pre-arena per-user TaggedCache fleet bit for
+// bit across all five eviction policies. That fleet lives outside the
+// library, in tests/reference/, as the oracle of tests/cache_plane_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +20,8 @@
 #include <vector>
 
 #include "cache/cache_arena.hpp"
+#include "cache/cache_types.hpp"
 #include "cache/factory.hpp"
-#include "cache/tagged_cache.hpp"
 #include "core/interaction.hpp"
 #include "des/inline_function.hpp"
 
@@ -39,7 +31,7 @@ struct CachePlaneConfig {
   std::size_t num_users = 1;
   std::size_t capacity = 64;
   /// Root seed; the random policy derives per-user streams from it
-  /// (substream 100 + user, matching the legacy construction).
+  /// (substream 100 + user).
   std::uint64_t seed = 1;
 };
 
@@ -91,21 +83,16 @@ class CachePlane {
 
   virtual void set_eviction_observer(EvictionObserver observer) = 0;
 
-  /// Deep-invariant sweep (util/audit.hpp): the arena backend walks its
-  /// policy arena (per-user chains and occupied prefixes) plus the §4
-  /// counter sanity (nhit <= naccess, first uses <= inserts). The legacy
-  /// backend checks the counters only — its std::list/map entries are
-  /// already under ASan's eye. Cold path; called from tests and
-  /// SPECPF_AUDIT sweeps.
+  /// Deep-invariant sweep (util/audit.hpp): walks the policy arena
+  /// (per-user chains and occupied prefixes) plus the §4 counter sanity
+  /// (nhit <= naccess, first uses <= inserts). Cold path; called from
+  /// tests and SPECPF_AUDIT sweeps.
   virtual void audit(AuditReport& report) const = 0;
 };
 
-/// Builds the cache plane for `kind`: the arena backend by default, the
-/// legacy per-user TaggedCache fleet when `use_legacy` is set. This switch
-/// is the once-per-run policy dispatch — everything after it is
-/// monomorphic.
+/// Builds the cache plane for `kind`. This switch is the once-per-run
+/// policy dispatch — everything after it is monomorphic.
 std::unique_ptr<CachePlane> make_cache_plane(CacheKind kind,
-                                             const CachePlaneConfig& config,
-                                             bool use_legacy);
+                                             const CachePlaneConfig& config);
 
 }  // namespace specpf

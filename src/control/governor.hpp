@@ -46,7 +46,7 @@
 
 #include "control/load_sensor.hpp"
 #include "core/planner.hpp"
-#include "predict/predictor.hpp"
+#include "predict/predictor_plane.hpp"
 
 namespace specpf {
 

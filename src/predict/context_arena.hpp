@@ -3,7 +3,8 @@
 // Every predictor model reduces to the same data shape: a set of *contexts*
 // (the global stream, a last item, an order-k history hash, a
 // dependency-graph node), each holding a count per observed *successor*.
-// The legacy tables realised that shape as FlatHashMap<FlatHashMap<u64>>
+// The reference tables (tests/reference/predict/) realise that shape as
+// FlatHashMap<FlatHashMap<u64>>
 // — one heap-allocated nested table per context, a pointer chase per probe
 // and an allocation per new context. The arena flattens the whole fleet of
 // tables into four structure-of-arrays slabs:
@@ -35,9 +36,9 @@
 // is about to overflow, every counter in that context is halved in place
 // (rounding up, so no successor is ever forgotten) and the context total is
 // recomputed — the classic aging scheme of adaptive-coding frequency
-// tables. Below the saturation point the counts are exactly the legacy
-// u64 counts, which is what lets the plane pin bit-identical predictions
-// against the legacy tables (tests/predict_plane_test.cpp); past it the
+// tables. Below the saturation point the counts are exactly the reference
+// tables' u64 counts, which is what lets the plane pin bit-identical
+// predictions against them (tests/predict_plane_test.cpp); past it the
 // plane degrades to a bounded-memory approximation instead of growing
 // 8-byte counters forever.
 #pragma once
@@ -192,7 +193,7 @@ class ContextArena {
   std::size_t successor_count() const { return succ_item_.size(); }
   std::size_t item_count() const { return item_value_.size(); }
   /// Contexts halved so far — the quantization events where the plane's
-  /// counts stop mirroring the legacy u64 tables.
+  /// counts stop mirroring the reference u64 tables.
   std::uint64_t halvings() const { return halvings_; }
 
   /// Deep-invariant walker (util/audit.hpp): slab-length agreement across

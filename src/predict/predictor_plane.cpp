@@ -3,12 +3,6 @@
 #include <algorithm>
 
 #include "predict/context_arena.hpp"
-#include "predict/dependency_graph.hpp"
-#include "predict/frequency.hpp"
-#include "predict/markov.hpp"
-#include "predict/oracle.hpp"
-#include "predict/ppm.hpp"
-#include "predict/predictor.hpp"
 #include "util/contract.hpp"
 #include "workload/session_graph.hpp"
 
@@ -26,7 +20,7 @@ bool candidate_before(const Candidate& a, const Candidate& b) {
 /// Batched top-k: partial-select the k best candidates, then sort only
 /// those. Items within one prediction are unique and ties break by item,
 /// so the comparator is a strict total order — the result is bit-identical
-/// to the legacy full sort + truncate, at O(n + k log k) instead of
+/// to the reference tables' full sort + truncate, at O(n + k log k) instead of
 /// O(n log n).
 void select_top_candidates(std::vector<Candidate>& candidates, std::size_t k) {
   if (candidates.size() > k) {
@@ -184,7 +178,7 @@ class PpmPlane final : public PredictorPlane {
 
  private:
   /// One matching context of the blend. Its term for a successor counted
-  /// c is weight * c / total, evaluated exactly as the legacy table's
+  /// c is weight * c / total, evaluated exactly as the reference table's
   /// carry * (1 - escape) * c / total.
   struct Order {
     ContextArena::CtxId ctx;
@@ -198,7 +192,7 @@ class PpmPlane final : public PredictorPlane {
     return o.weight * static_cast<double>(c) / o.total;
   }
 
-  /// PPM-C blending weights, replicated from the legacy table: the longest
+  /// PPM-C blending weights, replicated from the reference table: the longest
   /// matching context's predictions carry weight (1 - escape), the escape
   /// mass flows to the next shorter context, and so on, until the carried
   /// mass drops below 1e-6. Fills orders_, longest first.
@@ -221,7 +215,7 @@ class PpmPlane final : public PredictorPlane {
   }
 
   /// An item's exact blend: its terms summed in descending-order sequence,
-  /// the same additions as the legacy table, so the sum is bit-identical.
+  /// the same additions as the reference table, so the sum is bit-identical.
   /// Order `from` already knows the count `c` (read off its head).
   double blend(std::uint32_t item_id, std::size_t from,
                std::uint16_t c) const {
@@ -298,7 +292,7 @@ class PpmPlane final : public PredictorPlane {
 
   /// Hash of the user's most recent `length` items — the same FNV-1a mix
   /// (seeded by the length) as PpmPredictor::hash_context, so context
-  /// interning groups observations exactly as the legacy table does,
+  /// interning groups observations exactly as the reference table does,
   /// including any 64-bit hash collisions.
   std::uint64_t context_hash(UserId user, std::size_t length) const {
     std::uint64_t h =
@@ -338,7 +332,7 @@ class DependencyGraphPlane final : public PredictorPlane {
     const std::size_t len = window_.size(user);
     // Credit `item` as a follower of each access still inside the window —
     // at most once per occurrence, deduplicating by prefix scan exactly
-    // like the legacy table (the window holds a handful of entries).
+    // like the reference table (the window holds a handful of entries).
     for (std::size_t i = 0; i < len; ++i) {
       const std::uint64_t predecessor = window_.at(user, i);
       if (predecessor == item) continue;
@@ -417,57 +411,11 @@ class OraclePlane final : public PredictorPlane {
   std::vector<std::uint8_t> has_page_;
 };
 
-// --- legacy adapter ---------------------------------------------------------
-
-/// The original virtual Predictor tables behind the plane interface — the
-/// pinned reference backend for differential tests and the perf baseline.
-class LegacyPredictorPlane final : public PredictorPlane {
- public:
-  explicit LegacyPredictorPlane(std::unique_ptr<Predictor> predictor)
-      : predictor_(std::move(predictor)) {}
-
-  void observe(UserId user, std::uint64_t item) override {
-    predictor_->observe(user, item);
-  }
-
-  void predict_into(UserId user, std::size_t max_candidates,
-                    std::vector<Candidate>& out) const override {
-    predictor_->predict_into(user, max_candidates, out);
-  }
-
- private:
-  std::unique_ptr<Predictor> predictor_;
-};
-
-std::unique_ptr<Predictor> make_legacy_predictor(
-    PredictorKind kind, const PredictorPlaneConfig& config) {
-  switch (kind) {
-    case PredictorKind::kMarkov:
-      return std::make_unique<MarkovPredictor>(config.markov_laplace);
-    case PredictorKind::kPpm:
-      return std::make_unique<PpmPredictor>(config.ppm_order);
-    case PredictorKind::kDependencyGraph:
-      return std::make_unique<DependencyGraphPredictor>(
-          config.depgraph_lookahead);
-    case PredictorKind::kFrequency:
-      return std::make_unique<FrequencyPredictor>();
-    case PredictorKind::kOracle:
-      SPECPF_EXPECTS(config.graph != nullptr);
-      return std::make_unique<OraclePredictor>(*config.graph);
-  }
-  SPECPF_ASSERT(false && "unreachable");
-  return nullptr;
-}
-
 }  // namespace
 
 std::unique_ptr<PredictorPlane> make_predictor_plane(
-    PredictorKind kind, const PredictorPlaneConfig& config, bool use_legacy) {
+    PredictorKind kind, const PredictorPlaneConfig& config) {
   SPECPF_EXPECTS(config.num_users >= 1);
-  if (use_legacy) {
-    return std::make_unique<LegacyPredictorPlane>(
-        make_legacy_predictor(kind, config));
-  }
   switch (kind) {
     case PredictorKind::kMarkov:
       return std::make_unique<MarkovPlane>(

@@ -14,18 +14,13 @@
 // the heads run out first. The dependency graph and the oracle rank with a
 // partial top-k select.
 //
-// Two backends behind make_predictor_plane, exactly like make_cache_plane:
-//
-//   * the arena planes (default) — one concrete class per PredictorKind,
-//     dispatched once per run;
-//   * LegacyPredictorPlane — the original virtual `Predictor` tables
-//     (predict/{frequency,markov,ppm,dependency_graph,oracle}.hpp), kept
-//     behind use_legacy_predictors (same pattern as use_tree_inflight and
-//     use_legacy_caches) as the pinned differential baseline.
-//
-// Below the counter-saturation point both backends compute identical
-// arithmetic; tests/predict_plane_test.cpp fuzzes bit-identical predict
-// output and the sim_stack_differential matrix pins the full stack.
+// One concrete plane per PredictorKind, dispatched once per run by
+// make_predictor_plane. Below the counter-saturation point every plane
+// computes the arithmetic of the original virtual `Predictor` tables,
+// which live outside the library in tests/reference/predict/ as the
+// oracle: tests/predict_plane_test.cpp fuzzes bit-identical predict output
+// against them, and the golden digests in tests/sim_trace_replay_test.cpp
+// pin the full stack.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +80,7 @@ class PredictorPlane {
     return out;
   }
 
-  /// Counter-halving events so far (0 on the legacy backend, which grows
-  /// u64 counts instead of quantizing).
+  /// Counter-halving events so far (0 for planes without a ContextArena).
   virtual std::uint64_t counter_halvings() const { return 0; }
 
   /// Predictions whose bounded ranked-head read ran out of head before
@@ -100,16 +94,15 @@ class PredictorPlane {
 
   /// Deep-invariant sweep (util/audit.hpp): the arena planes walk their
   /// ContextArena (successor-chain conservation, interning round-trips,
-  /// index health). The legacy tables and the stateless oracle have nothing
-  /// slab-backed to walk — default no-op.
+  /// index health). The stateless oracle has nothing slab-backed to walk —
+  /// default no-op.
   virtual void audit(AuditReport& /*report*/) const {}
 };
 
-/// Builds the predictor plane for `kind`: the arena backend by default, the
-/// legacy virtual Predictor tables when `use_legacy` is set. This switch is
-/// the once-per-run model dispatch — everything after it is monomorphic
-/// (one virtual hop into the plane per observe/predict, total).
+/// Builds the predictor plane for `kind`. This switch is the once-per-run
+/// model dispatch — everything after it is monomorphic (one virtual hop
+/// into the plane per observe/predict, total).
 std::unique_ptr<PredictorPlane> make_predictor_plane(
-    PredictorKind kind, const PredictorPlaneConfig& config, bool use_legacy);
+    PredictorKind kind, const PredictorPlaneConfig& config);
 
 }  // namespace specpf

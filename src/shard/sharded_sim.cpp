@@ -189,10 +189,11 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
       continue;
     }
 
-    shard->predictor = make_replay_predictor(
-        config_.stack.predictor_kind, shard->user_index.size(),
-        config_.stack.use_legacy_predictors,
-        config_.stack.max_prefetch_per_request);
+    PredictorPlaneConfig plane_config;
+    plane_config.num_users = shard->user_index.size();
+    plane_config.max_candidates = config_.stack.max_prefetch_per_request;
+    shard->predictor =
+        make_predictor_plane(config_.stack.predictor_kind, plane_config);
     shard->policy = make_policy();
     SPECPF_EXPECTS(shard->policy != nullptr);
     if (policy_name_.empty()) policy_name_ = shard->policy->name();
@@ -213,8 +214,6 @@ void ShardedSim::init(TraceSource& source, const PolicyFactory& make_policy) {
     rt.lambda_prior = std::max(
         1e-9,
         safe_div(static_cast<double>(shard->scan_count), duration, 0.0));
-    rt.use_tree_inflight = config_.stack.use_tree_inflight;
-    rt.use_legacy_caches = config_.stack.use_legacy_caches;
     rt.enable_load_sensor = config_.stack.enable_load_sensor;
     rt.sensor = config_.stack.sensor;
     rt.telemetry = shard->telemetry;  // runtime registers its set and seals

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.hpp"
+#include "cache/cache_types.hpp"
 #include "net/backbone.hpp"
 #include "sim/trace_replay.hpp"
 

@@ -18,7 +18,6 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
       config_(std::move(config)),
       server_(sim, config_.bandwidth),
       estimate_cache_(config_.num_users, 0.0),
-      inflight_(config_.use_tree_inflight),
       demand_inflight_(config_.num_users, 0),
       pending_prefetches_(config_.num_users),
       sensor_(config_.sensor),
@@ -28,12 +27,15 @@ StackRuntime::StackRuntime(Simulator& sim, PredictorPlane& predictor,
   SPECPF_EXPECTS(config_.num_users >= 1);
   SPECPF_EXPECTS(config_.item_size > 0.0);
   SPECPF_EXPECTS(config_.cache_capacity >= 1);
+  // One in-flight map and one cache plane: the two legacy switches have no
+  // backend left to select.
+  SPECPF_EXPECTS(!config_.use_tree_inflight);
+  SPECPF_EXPECTS(!config_.use_legacy_caches);
   CachePlaneConfig plane_config;
   plane_config.num_users = config_.num_users;
   plane_config.capacity = config_.cache_capacity;
   plane_config.seed = config_.seed;
-  caches_ = make_cache_plane(config_.cache_kind, plane_config,
-                             config_.use_legacy_caches);
+  caches_ = make_cache_plane(config_.cache_kind, plane_config);
   caches_->set_eviction_observer([this](UserId, ItemId, EntryTag tag) {
     --cache_residents_;
     if (tag == EntryTag::kUntagged) {

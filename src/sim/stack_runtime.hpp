@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,13 +41,10 @@ struct StackRuntimeConfig {
   std::uint64_t seed = 1;
   /// Request-rate estimate used until ≥100 requests are observed.
   double lambda_prior = 1.0;
-  /// Keep in-flight bookkeeping in the legacy std::map instead of the flat
-  /// hash — the byte-identical reference backend for differential tests and
-  /// the perf_stack baseline.
+  /// Written only by specbench/src/layers.hpp, which assigns them false;
+  /// the constructor rejects true. Delete with that file's copy of the
+  /// replay loop.
   bool use_tree_inflight = false;
-  /// Run the per-user caches as the legacy TaggedCache fleet instead of the
-  /// slab-backed arena plane — the byte-identical reference backend for
-  /// differential tests and the memory/throughput baseline.
   bool use_legacy_caches = false;
   /// Observer fired on every retrieval submission (demand and prefetch),
   /// at submission time, after the job entered the local link. Pure
@@ -180,55 +176,6 @@ class StackRuntime {
     std::vector<double> waiter_times;
   };
 
-  /// In-flight transfers keyed by (user << 32) | item. The flat backend is
-  /// the data plane; the tree backend preserves the original std::map
-  /// behaviour as a differential baseline.
-  class InflightIndex {
-   public:
-    explicit InflightIndex(bool use_tree) : use_tree_(use_tree) {}
-
-    Inflight* find(std::uint64_t key) {
-      if (!use_tree_) return flat_.find(key);
-      auto it = tree_.find(key);
-      return it == tree_.end() ? nullptr : &it->second;
-    }
-    Inflight& get_or_insert(std::uint64_t key) {
-      return use_tree_ ? tree_[key] : flat_[key];
-    }
-    bool contains(std::uint64_t key) const {
-      return use_tree_ ? tree_.count(key) != 0 : flat_.contains(key);
-    }
-    Inflight take(std::uint64_t key) {
-      if (!use_tree_) return flat_.take(key);
-      auto node = tree_.extract(key);
-      SPECPF_ASSERT(!node.empty());
-      return std::move(node.mapped());
-    }
-
-    std::size_t size() const {
-      return use_tree_ ? tree_.size() : flat_.size();
-    }
-    /// Visits every (key, const Inflight&) entry; cold path (audit sweeps).
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      if (use_tree_) {
-        for (const auto& [key, value] : tree_) fn(key, value);
-      } else {
-        flat_.for_each(fn);
-      }
-    }
-    void audit(AuditReport& report) const {
-      if (!use_tree_) flat_.audit(report);
-    }
-
-   private:
-    bool use_tree_;
-    FlatHashMap<Inflight> flat_;
-    // Differential baseline for FlatHashMap, selected only by the
-    // inflight_index=tree debug config.
-    std::map<std::uint64_t, Inflight> tree_;  // lint:allow(std::map)
-  };
-
   static std::uint64_t inflight_key(UserId user, ItemId item) {
     // Single choke point for the packing contract: every path that touches
     // in-flight state (demand misses, predictor candidates, deferred
@@ -261,7 +208,8 @@ class StackRuntime {
   /// Per-user ĥ' estimates and their running sum; updated on mutation.
   std::vector<double> estimate_cache_;
   double estimate_sum_ = 0.0;
-  InflightIndex inflight_;
+  /// In-flight transfers keyed by inflight_key(user, item).
+  FlatHashMap<Inflight> inflight_;
   std::vector<int> demand_inflight_;
   std::vector<std::vector<ItemId>> pending_prefetches_;
   /// Reused per-request scratch for the predictor plane's predict_into and

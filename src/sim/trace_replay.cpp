@@ -29,10 +29,11 @@ std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
     bool use_legacy, std::size_t max_candidates) {
   SPECPF_EXPECTS(kind != PredictorKind::kOracle);
+  SPECPF_EXPECTS(!use_legacy);
   PredictorPlaneConfig plane_config;
   plane_config.num_users = num_users;
   plane_config.max_candidates = max_candidates;
-  return make_predictor_plane(kind, plane_config, use_legacy);
+  return make_predictor_plane(kind, plane_config);
 }
 
 namespace {

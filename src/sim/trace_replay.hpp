@@ -45,19 +45,11 @@ struct TraceReplayConfig {
   double warmup_fraction = 0.1;
   std::uint64_t seed = 1;  ///< only used by the random cache kind
 
-  /// Use the legacy std::map in-flight backend (reference for differential
-  /// tests and the perf_stack baseline; the flat hash is the default).
-  bool use_tree_inflight = false;
-
-  /// Use the legacy per-user TaggedCache fleet instead of the block-arena
-  /// cache plane (reference for differential tests; the arena is the
-  /// default).
-  bool use_legacy_caches = false;
-
-  /// Use the legacy virtual Predictor tables instead of the block-arena
-  /// SoA predictor plane (reference for differential tests and the
-  /// perf_stack baseline; the plane is the default).
-  bool use_legacy_predictors = false;
+  /// Read only by specbench/src/layers.hpp; always false. Delete with that
+  /// file's copy of the replay loop.
+  static constexpr bool use_tree_inflight = false;
+  static constexpr bool use_legacy_caches = false;
+  static constexpr bool use_legacy_predictors = false;
 
   /// Prefetch governor by name (control/governor.hpp): noop, token-<rate>,
   /// aimd-<setpoint>, conf-<precision>. Empty = ungoverned (today's
@@ -123,9 +115,11 @@ ProxySimResult run_trace_replay(TraceSource& source,
                                 const TraceReplayConfig& config,
                                 PrefetchPolicy& policy);
 
-/// Fresh predictor plane for a replay kind, one per shard (`num_users`
-/// sizes the plane's user-indexed history slab; `max_candidates` is the
-/// largest predict_into limit it must serve). kOracle is not replayable.
+/// Fresh predictor plane for a replay kind (`num_users` sizes the plane's
+/// user-indexed history slab; `max_candidates` is the largest predict_into
+/// limit it must serve). kOracle is not replayable. Called only by
+/// specbench/src/layers.hpp; `use_legacy` must be false and stays only so
+/// that call's `false` does not bind to max_candidates.
 std::unique_ptr<PredictorPlane> make_replay_predictor(
     TraceReplayConfig::PredictorKind kind, std::size_t num_users,
     bool use_legacy,

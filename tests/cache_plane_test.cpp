@@ -1,5 +1,6 @@
 // Cache-plane differential tests: the block-arena backend must be
-// bit-identical to the legacy per-user TaggedCache fleet — same access
+// bit-identical to the reference per-user TaggedCache fleet
+// (tests/reference/cache/) — same access
 // outcomes, residency, sizes, ĥ' estimates, and eviction victims (with
 // tags) — across all five eviction policies under long random protocol
 // sequences, plus the §4 tag-transition edge cases pinned on both paths.
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "cache/cache_plane.hpp"
+#include "cache/reference_caches.hpp"
 #include "sim/proxy_sim.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/contract.hpp"
@@ -36,13 +38,21 @@ struct Eviction {
   }
 };
 
+/// The arena plane, or the reference TaggedCache fleet when `reference`.
+std::unique_ptr<CachePlane> make_backend(CacheKind kind,
+                                         const CachePlaneConfig& config,
+                                         bool reference) {
+  return reference ? make_tagged_cache_fleet(kind, config)
+                   : make_cache_plane(kind, config);
+}
+
 struct PlaneUnderTest {
   std::unique_ptr<CachePlane> plane;
   std::vector<Eviction> evictions;
 
   PlaneUnderTest(CacheKind kind, const CachePlaneConfig& config,
-                 bool use_legacy) {
-    plane = make_cache_plane(kind, config, use_legacy);
+                 bool reference) {
+    plane = make_backend(kind, config, reference);
     plane->set_eviction_observer(
         [this](std::uint32_t user, ItemId item, EntryTag tag) {
           evictions.push_back(Eviction{user, item, tag});
@@ -58,8 +68,8 @@ void run_differential(CacheKind kind, std::size_t capacity,
   config.num_users = 8;
   config.capacity = capacity;
   config.seed = 17;
-  PlaneUnderTest arena(kind, config, /*use_legacy=*/false);
-  PlaneUnderTest legacy(kind, config, /*use_legacy=*/true);
+  PlaneUnderTest arena(kind, config, /*reference=*/false);
+  PlaneUnderTest legacy(kind, config, /*reference=*/true);
 
   Rng rng(seed);
   for (int op = 0; op < 30000; ++op) {
@@ -137,7 +147,7 @@ TEST(CapacityLimit, EveryKindAcceptsTheLargestIndexableCapacityOnly) {
   for (CacheKind kind : kAllKinds) {
     SCOPED_TRACE(cache_kind_name(kind));
     config.capacity = arena::kMaxCacheCapacity;
-    auto plane = make_cache_plane(kind, config, /*use_legacy=*/false);
+    auto plane = make_cache_plane(kind, config);
     for (ItemId item = 0; item < 100; ++item) plane->admit_demand(1, item);
     EXPECT_EQ(plane->size(1), 100u);
     EXPECT_EQ(plane->access(1, 99), AccessOutcome::kHitTagged);
@@ -146,7 +156,7 @@ TEST(CapacityLimit, EveryKindAcceptsTheLargestIndexableCapacityOnly) {
     EXPECT_TRUE(report.ok()) << report.summary();
 
     config.capacity = arena::kMaxCacheCapacity + 1;
-    EXPECT_THROW(make_cache_plane(kind, config, /*use_legacy=*/false),
+    EXPECT_THROW(make_cache_plane(kind, config),
                  ContractViolation);
   }
 }
@@ -176,7 +186,7 @@ TEST_P(TagTransition, AdmitPrefetchAccessedOnResidentItemRetagsAndCounts) {
   CachePlaneConfig config;
   config.num_users = 1;
   config.capacity = 4;
-  auto plane = make_cache_plane(CacheKind::kLru, config, GetParam());
+  auto plane = make_backend(CacheKind::kLru, config, GetParam());
 
   plane->admit_prefetch(kUser, 1);  // resident, untagged
   EXPECT_EQ(plane->prefetch_inserts(kUser), 1u);
@@ -194,7 +204,7 @@ TEST_P(TagTransition, DemandReinsertOverUntaggedEntryUpgradesTag) {
   CachePlaneConfig config;
   config.num_users = 1;
   config.capacity = 4;
-  auto plane = make_cache_plane(CacheKind::kLru, config, GetParam());
+  auto plane = make_backend(CacheKind::kLru, config, GetParam());
 
   plane->admit_prefetch(kUser, 7);  // untagged
   plane->admit_demand(kUser, 7);    // re-insert upgrades to tagged, no growth
@@ -210,7 +220,7 @@ TEST_P(TagTransition, ClockSecondChanceEvictionReportsVictimTagFaithfully) {
   CachePlaneConfig config;
   config.num_users = 1;
   config.capacity = 3;
-  auto plane = make_cache_plane(CacheKind::kClock, config, GetParam());
+  auto plane = make_backend(CacheKind::kClock, config, GetParam());
   std::vector<Eviction> evictions;
   plane->set_eviction_observer(
       [&evictions](std::uint32_t user, ItemId item, EntryTag tag) {

@@ -5,7 +5,7 @@
 //     the exact ceil(c/2) aging the header promises.
 //  2. HistoryRing preserves order across wraparound.
 //  3. Fuzz differential: every arena plane predicts bit-identically to its
-//     legacy virtual Predictor table across orders x user counts x
+//     reference virtual Predictor table (tests/reference/predict/) across orders x user counts x
 //     candidate limits — exact double equality, not approximate.
 //  4. The ranked heads the Markov and frequency planes read stay exact
 //     through counter halving, against a full sort of every successor.
@@ -22,6 +22,7 @@
 
 #include "predict/context_arena.hpp"
 #include "predict/predictor_plane.hpp"
+#include "predict/reference_predictors.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
 #include "workload/session_graph.hpp"
@@ -170,8 +171,8 @@ void expect_bit_identical(PredictorKind kind, PredictorPlaneConfig cfg,
                           std::size_t max_candidates, std::uint64_t seed,
                           std::size_t events, std::uint64_t item_space) {
   cfg.max_candidates = max_candidates;
-  auto plane = make_predictor_plane(kind, cfg, false);
-  auto legacy = make_predictor_plane(kind, cfg, true);
+  auto plane = make_predictor_plane(kind, cfg);
+  auto legacy = make_table_predictor_plane(kind, cfg);
   Rng rng(seed);
   std::vector<Candidate> got, want;
   for (std::size_t i = 0; i < events; ++i) {
@@ -275,7 +276,7 @@ TEST(PredictPlane, MarkovSurvivesCounterSaturation) {
   // same *distribution* with bounded counters.
   PredictorPlaneConfig cfg;
   cfg.num_users = 1;
-  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg);
   plane->observe(0, 1);
   for (int i = 0; i < 70000; ++i) {
     plane->observe(0, 2);
@@ -306,7 +307,7 @@ TEST(PredictPlane, MarkovHeadSurvivesHalvingTies) {
   cfg.num_users = 1;
   cfg.markov_laplace = kLaplace;
   cfg.max_candidates = kTop;
-  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg);
   ContextArena mirror;
   const ContextArena::CtxId ctx = mirror.intern(0);
 
@@ -381,8 +382,8 @@ void expect_ppm_matches_legacy(const Stream& stream, std::size_t order,
   cfg.num_users = users;
   cfg.ppm_order = order;
   cfg.max_candidates = limit;
-  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
-  auto legacy = make_predictor_plane(PredictorKind::kPpm, cfg, true);
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg);
+  auto legacy = make_table_predictor_plane(PredictorKind::kPpm, cfg);
   std::vector<Candidate> got, want, full;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const auto [user, item] = stream[i];
@@ -444,7 +445,7 @@ TEST(PpmBoundedRead, KnownEarlyStop) {
   PredictorPlaneConfig cfg;
   cfg.ppm_order = 1;
   cfg.max_candidates = 1;  // 4-deep heads; context 0 has 101 successors
-  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg);
   for (const auto& [user, item] : stream) plane->observe(user, item);
   const auto got = plane->predict(0, 1);
   EXPECT_EQ(plane->full_scans(), 0u);
@@ -468,7 +469,7 @@ TEST(PpmBoundedRead, KnownFallbackWhenHeadExhaustsOnTies) {
   PredictorPlaneConfig cfg;
   cfg.ppm_order = 1;
   cfg.max_candidates = 1;
-  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg);
   for (const auto& [user, item] : stream) plane->observe(user, item);
   const std::uint64_t before = plane->full_scans();
   const auto got = plane->predict(0, 1);
@@ -547,7 +548,7 @@ TEST(PpmBoundedRead, CarryCutDropsShortOrders) {
   PredictorPlaneConfig cfg;
   cfg.ppm_order = 4;
   cfg.max_candidates = 2;
-  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg);
   for (const auto& [user, item] : stream) plane->observe(user, item);
   const auto got = plane->predict(0, 2);
   ASSERT_EQ(got.size(), 1u);
@@ -621,7 +622,7 @@ TEST(PpmBoundedRead, CounterHalvingMatchesFullBlend) {
   PredictorPlaneConfig cfg;
   cfg.ppm_order = kOrder;
   cfg.max_candidates = kTop;
-  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kPpm, cfg);
   FullBlendPpm reference(kOrder);
   std::vector<Candidate> got;
   std::size_t step = 0;
@@ -665,7 +666,7 @@ TEST(PredictPlane, RankedHeadPlanesRejectLimitsAboveCapacity) {
                                   PredictorKind::kPpm}) {
     PredictorPlaneConfig cfg;
     cfg.max_candidates = 3;
-    auto plane = make_predictor_plane(kind, cfg, false);
+    auto plane = make_predictor_plane(kind, cfg);
     std::vector<Candidate> scratch;
     EXPECT_NO_THROW(plane->predict_into(0, 3, scratch));
     EXPECT_THROW(plane->predict_into(0, 4, scratch), ContractViolation);
@@ -675,7 +676,7 @@ TEST(PredictPlane, RankedHeadPlanesRejectLimitsAboveCapacity) {
 TEST(PredictPlane, PredictIntoReplacesStaleScratchContents) {
   PredictorPlaneConfig cfg;
   cfg.num_users = 1;
-  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg, false);
+  auto plane = make_predictor_plane(PredictorKind::kMarkov, cfg);
   std::vector<Candidate> scratch(5, Candidate{999, 0.123});
   plane->predict_into(0, 8, scratch);  // nothing observed: must clear
   EXPECT_TRUE(scratch.empty());

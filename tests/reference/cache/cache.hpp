@@ -9,13 +9,10 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/hit_ratio_estimator.hpp"
+#include "cache/cache_types.hpp"
 #include "des/inline_function.hpp"
 
 namespace specpf {
-
-using ItemId = std::uint64_t;
-using core::EntryTag;
 
 /// Statistics every cache keeps.
 struct CacheStats {

@@ -1,7 +1,5 @@
 // CLOCK (second-chance) cache: circular scan over reference bits —
 // the classic low-overhead LRU approximation.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
 #pragma once
 
 #include <unordered_map>

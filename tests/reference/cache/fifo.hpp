@@ -1,6 +1,5 @@
-// Least-recently-used cache: intrusive list + hash map, O(1) per operation.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// First-in-first-out cache: eviction order fixed at insertion, lookups do
+// not refresh position.
 #pragma once
 
 #include <list>
@@ -10,9 +9,9 @@
 
 namespace specpf {
 
-class LruCache final : public Cache {
+class FifoCache final : public Cache {
  public:
-  explicit LruCache(std::size_t capacity);
+  explicit FifoCache(std::size_t capacity);
 
   std::optional<EntryTag> lookup(ItemId item) override;
   bool contains(ItemId item) const override;
@@ -32,7 +31,7 @@ class LruCache final : public Cache {
   void evict_one();
 
   std::size_t capacity_;
-  std::list<Node> order_;  // front = most recent
+  std::list<Node> order_;  // front = oldest
   std::unordered_map<ItemId, std::list<Node>::iterator> map_;
   EvictionHook hook_;
 };

@@ -1,7 +1,5 @@
 // Least-frequently-used cache with O(1) operations (frequency-bucket list,
 // after Ketan Shah et al.). Ties within a frequency bucket break LRU.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
 #pragma once
 
 #include <list>

@@ -1,7 +1,4 @@
-// First-in-first-out cache: eviction order fixed at insertion, lookups do
-// not refresh position.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
+// Least-recently-used cache: intrusive list + hash map, O(1) per operation.
 #pragma once
 
 #include <list>
@@ -11,9 +8,9 @@
 
 namespace specpf {
 
-class FifoCache final : public Cache {
+class LruCache final : public Cache {
  public:
-  explicit FifoCache(std::size_t capacity);
+  explicit LruCache(std::size_t capacity);
 
   std::optional<EntryTag> lookup(ItemId item) override;
   bool contains(ItemId item) const override;
@@ -33,7 +30,7 @@ class FifoCache final : public Cache {
   void evict_one();
 
   std::size_t capacity_;
-  std::list<Node> order_;  // front = oldest
+  std::list<Node> order_;  // front = most recent
   std::unordered_map<ItemId, std::list<Node>::iterator> map_;
   EvictionHook hook_;
 };

@@ -1,7 +1,5 @@
 // Random-replacement cache: evicts a uniformly random resident item.
 // The memoryless baseline for eviction-policy ablations.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
 #pragma once
 
 #include <unordered_map>

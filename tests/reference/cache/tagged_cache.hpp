@@ -19,13 +19,6 @@
 
 namespace specpf {
 
-/// What a TaggedCache access observed.
-enum class AccessOutcome {
-  kMiss,         ///< not resident
-  kHitTagged,    ///< hit on a tagged entry (a "would-have-hit" per §4)
-  kHitUntagged,  ///< first touch of a prefetched entry (now tagged)
-};
-
 /// Model-B ĥ' from the protocol counters: Model A × n̄(C)/(n̄(C) − n̄(F)),
 /// with the realised n̄(F) = prefetch_inserts / accesses, falling back to
 /// Model A when n̄(F) ≥ n̄(C) (degenerate: tiny cache). The single

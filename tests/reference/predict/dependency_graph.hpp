@@ -2,8 +2,6 @@
 // item B is labelled with the probability that B is requested within a
 // lookahead window of w accesses after A (by the same user). Unlike the
 // Markov model it credits follow-ups that are not immediate successors.
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
 #pragma once
 
 #include <deque>

@@ -1,5 +1,3 @@
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
 #include "predict/ppm.hpp"
 
 #include <algorithm>

@@ -3,8 +3,6 @@
 // length k, k-1, ..., 1 are blended, longer contexts weighted by escape
 // probabilities (method C: escape mass = distinct successors / (total +
 // distinct)).
-// lint:legacy-baseline — pre-arena reference implementation kept
-// byte-identical for the differential tests; not a data-plane path.
 #pragma once
 
 #include <deque>

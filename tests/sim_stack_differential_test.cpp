@@ -1,10 +1,9 @@
-// Differential tests: the flat-hash data plane must reproduce bit-identical
-// ProxySimResults against the legacy std::map in-flight backend, the
-// block-arena cache plane against the legacy per-user TaggedCache
-// fleet, and the SoA predictor plane against the legacy virtual Predictor
-// tables — across every predictor and cache kind, for the generative proxy
-// sim, trace replay, and a sharded replay. The backends differ only in
-// container layout; any divergence means behaviour changed, not just speed.
+// Differential tests: observation and streaming must not change a single
+// simulated number. Telemetry on vs off, the divergence detector attached
+// vs not, and streamed sources (generator, .spt cursor) vs in-RAM traces
+// must reproduce bit-identical ProxySimResults for the generative proxy
+// sim, trace replay, and a sharded replay. The golden digests in
+// sim_trace_replay_test.cpp pin the results themselves.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,294 +21,27 @@
 namespace specpf {
 namespace {
 
-void expect_identical(const ProxySimResult& flat, const ProxySimResult& tree) {
-  EXPECT_EQ(flat.requests, tree.requests);
-  EXPECT_EQ(flat.demand_jobs, tree.demand_jobs);
-  EXPECT_EQ(flat.prefetch_jobs, tree.prefetch_jobs);
-  EXPECT_EQ(flat.wasted_prefetch_evictions, tree.wasted_prefetch_evictions);
-  EXPECT_EQ(flat.inflight_hits, tree.inflight_hits);
-  EXPECT_DOUBLE_EQ(flat.mean_access_time, tree.mean_access_time);
-  EXPECT_DOUBLE_EQ(flat.access_time_std_error, tree.access_time_std_error);
-  EXPECT_DOUBLE_EQ(flat.hit_ratio, tree.hit_ratio);
-  EXPECT_DOUBLE_EQ(flat.server_utilization, tree.server_utilization);
-  EXPECT_DOUBLE_EQ(flat.retrieval_time_per_request,
-                   tree.retrieval_time_per_request);
-  EXPECT_DOUBLE_EQ(flat.retrievals_per_request, tree.retrievals_per_request);
-  EXPECT_DOUBLE_EQ(flat.hprime_estimate, tree.hprime_estimate);
-  EXPECT_DOUBLE_EQ(flat.prefetch_useful_fraction,
-                   tree.prefetch_useful_fraction);
-  EXPECT_DOUBLE_EQ(flat.mean_inflight_wait, tree.mean_inflight_wait);
-  EXPECT_DOUBLE_EQ(flat.mean_demand_sojourn, tree.mean_demand_sojourn);
-  EXPECT_DOUBLE_EQ(flat.access_time_p50, tree.access_time_p50);
-  EXPECT_DOUBLE_EQ(flat.access_time_p95, tree.access_time_p95);
-  EXPECT_DOUBLE_EQ(flat.access_time_p99, tree.access_time_p99);
-}
-
-TEST(StackDifferential, FlatMatchesTreeAcrossPredictorsAndCacheKinds) {
-  const ProxySimConfig::PredictorKind predictors[] = {
-      ProxySimConfig::PredictorKind::kMarkov,
-      ProxySimConfig::PredictorKind::kPpm,
-      ProxySimConfig::PredictorKind::kDependencyGraph,
-      ProxySimConfig::PredictorKind::kFrequency,
-      ProxySimConfig::PredictorKind::kOracle,
-  };
-  const ProxySimConfig::CacheKind caches[] = {
-      ProxySimConfig::CacheKind::kLru, ProxySimConfig::CacheKind::kLfu,
-      ProxySimConfig::CacheKind::kFifo, ProxySimConfig::CacheKind::kClock,
-      ProxySimConfig::CacheKind::kRandom,
-  };
-  for (auto predictor : predictors) {
-    for (auto cache : caches) {
-      ProxySimConfig cfg;
-      cfg.num_users = 4;
-      cfg.bandwidth = 30.0;
-      cfg.graph.num_pages = 60;
-      cfg.graph.out_degree = 3;
-      cfg.graph.exit_probability = 0.2;
-      cfg.cache_capacity = 12;  // tight: keeps evictions + inflight churn hot
-      cfg.duration = 120.0;
-      cfg.warmup = 20.0;
-      cfg.seed = 9;
-      cfg.predictor_kind = predictor;
-      cfg.cache_kind = cache;
-
-      cfg.use_tree_inflight = false;
-      ThresholdPolicy flat_policy(core::InteractionModel::kModelA);
-      const ProxySimResult flat = run_proxy_sim(cfg, flat_policy);
-
-      cfg.use_tree_inflight = true;
-      ThresholdPolicy tree_policy(core::InteractionModel::kModelA);
-      const ProxySimResult tree = run_proxy_sim(cfg, tree_policy);
-
-      SCOPED_TRACE("predictor=" + std::to_string(static_cast<int>(predictor)) +
-                   " cache=" + std::to_string(static_cast<int>(cache)));
-      expect_identical(flat, tree);
-      EXPECT_GT(flat.requests, 0u);
-    }
-  }
-}
-
-// --- arena cache plane vs legacy TaggedCache fleet ---
-
-TEST(StackDifferential, ArenaCachesMatchLegacyAcrossPredictorsAndCacheKinds) {
-  const ProxySimConfig::PredictorKind predictors[] = {
-      ProxySimConfig::PredictorKind::kMarkov,
-      ProxySimConfig::PredictorKind::kOracle,
-  };
-  const ProxySimConfig::CacheKind caches[] = {
-      ProxySimConfig::CacheKind::kLru, ProxySimConfig::CacheKind::kLfu,
-      ProxySimConfig::CacheKind::kFifo, ProxySimConfig::CacheKind::kClock,
-      ProxySimConfig::CacheKind::kRandom,
-  };
-  for (auto predictor : predictors) {
-    for (auto cache : caches) {
-      ProxySimConfig cfg;
-      cfg.num_users = 4;
-      cfg.bandwidth = 30.0;
-      cfg.graph.num_pages = 60;
-      cfg.graph.out_degree = 3;
-      cfg.graph.exit_probability = 0.2;
-      cfg.cache_capacity = 12;
-      cfg.duration = 120.0;
-      cfg.warmup = 20.0;
-      cfg.seed = 9;
-      cfg.predictor_kind = predictor;
-      cfg.cache_kind = cache;
-
-      cfg.use_legacy_caches = false;
-      ThresholdPolicy arena_policy(core::InteractionModel::kModelA);
-      const ProxySimResult arena = run_proxy_sim(cfg, arena_policy);
-
-      cfg.use_legacy_caches = true;
-      ThresholdPolicy legacy_policy(core::InteractionModel::kModelA);
-      const ProxySimResult legacy = run_proxy_sim(cfg, legacy_policy);
-
-      SCOPED_TRACE("predictor=" + std::to_string(static_cast<int>(predictor)) +
-                   " cache=" + std::to_string(static_cast<int>(cache)));
-      expect_identical(arena, legacy);
-      EXPECT_GT(arena.requests, 0u);
-    }
-  }
-}
-
-TEST(StackDifferential, TraceReplayArenaCachesMatchLegacyAcrossCacheKinds) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 500;
-  trace_cfg.num_requests = 5000;
-  trace_cfg.request_rate = 50.0;
-  trace_cfg.graph.num_pages = 80;
-  trace_cfg.seed = 21;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  for (auto cache :
-       {ProxySimConfig::CacheKind::kLru, ProxySimConfig::CacheKind::kLfu,
-        ProxySimConfig::CacheKind::kFifo, ProxySimConfig::CacheKind::kClock,
-        ProxySimConfig::CacheKind::kRandom}) {
-    // Capacity 8 is the benchmark workloads' cache size; 24 a wider block.
-    for (std::size_t capacity : {std::size_t{8}, std::size_t{24}}) {
-      TraceReplayConfig cfg;
-      cfg.bandwidth = 60.0;
-      cfg.cache_capacity = capacity;
-      cfg.cache_kind = cache;
-
-      cfg.use_legacy_caches = false;
-      ThresholdPolicy arena_policy(core::InteractionModel::kModelA);
-      const ProxySimResult arena = run_trace_replay(trace, cfg, arena_policy);
-
-      cfg.use_legacy_caches = true;
-      ThresholdPolicy legacy_policy(core::InteractionModel::kModelA);
-      const ProxySimResult legacy = run_trace_replay(trace, cfg, legacy_policy);
-
-      SCOPED_TRACE("cache=" + std::to_string(static_cast<int>(cache)) +
-                   " capacity=" + std::to_string(capacity));
-      expect_identical(arena, legacy);
-      EXPECT_GT(arena.requests, 0u);
-    }
-  }
-}
-
-TEST(StackDifferential, ShardedReplayArenaCachesMatchLegacyAcrossCacheKinds) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 300;
-  trace_cfg.num_requests = 3000;
-  trace_cfg.request_rate = 50.0;
-  trace_cfg.graph.num_pages = 80;
-  trace_cfg.seed = 33;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  for (auto cache :
-       {ProxySimConfig::CacheKind::kLru, ProxySimConfig::CacheKind::kLfu,
-        ProxySimConfig::CacheKind::kFifo, ProxySimConfig::CacheKind::kClock,
-        ProxySimConfig::CacheKind::kRandom}) {
-    ShardedReplayConfig cfg;
-    cfg.stack.bandwidth = 60.0;
-    cfg.stack.cache_capacity = 8;
-    cfg.stack.cache_kind = cache;
-    cfg.num_shards = 3;
-    cfg.num_threads = 1;
-    const PolicyFactory factory = [] {
-      return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
-    };
-
-    cfg.stack.use_legacy_caches = false;
-    const ShardedReplayResult arena = run_sharded_replay(trace, cfg, factory);
-
-    cfg.stack.use_legacy_caches = true;
-    const ShardedReplayResult legacy = run_sharded_replay(trace, cfg, factory);
-
-    SCOPED_TRACE("cache=" + std::to_string(static_cast<int>(cache)));
-    expect_identical(arena.merged, legacy.merged);
-    EXPECT_EQ(arena.cross_shard_events, legacy.cross_shard_events);
-    EXPECT_EQ(arena.backbone.jobs(), legacy.backbone.jobs());
-    EXPECT_GT(arena.merged.requests, 0u);
-  }
-}
-
-// --- SoA predictor plane vs legacy virtual Predictor tables ---
-
-TEST(StackDifferential, PredictorPlaneMatchesLegacyAcrossKinds) {
-  const ProxySimConfig::PredictorKind predictors[] = {
-      ProxySimConfig::PredictorKind::kMarkov,
-      ProxySimConfig::PredictorKind::kPpm,
-      ProxySimConfig::PredictorKind::kDependencyGraph,
-      ProxySimConfig::PredictorKind::kFrequency,
-      ProxySimConfig::PredictorKind::kOracle,
-  };
-  for (auto predictor : predictors) {
-    ProxySimConfig cfg;
-    cfg.num_users = 4;
-    cfg.bandwidth = 30.0;
-    cfg.graph.num_pages = 60;
-    cfg.graph.out_degree = 3;
-    cfg.graph.exit_probability = 0.2;
-    cfg.cache_capacity = 12;
-    cfg.duration = 120.0;
-    cfg.warmup = 20.0;
-    cfg.seed = 9;
-    cfg.predictor_kind = predictor;
-
-    cfg.use_legacy_predictors = false;
-    ThresholdPolicy plane_policy(core::InteractionModel::kModelA);
-    const ProxySimResult plane = run_proxy_sim(cfg, plane_policy);
-
-    cfg.use_legacy_predictors = true;
-    ThresholdPolicy legacy_policy(core::InteractionModel::kModelA);
-    const ProxySimResult legacy = run_proxy_sim(cfg, legacy_policy);
-
-    SCOPED_TRACE("predictor=" + std::to_string(static_cast<int>(predictor)));
-    expect_identical(plane, legacy);
-    EXPECT_GT(plane.requests, 0u);
-  }
-}
-
-TEST(StackDifferential, TraceReplayPredictorPlaneMatchesLegacy) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 500;
-  trace_cfg.num_requests = 5000;
-  trace_cfg.request_rate = 50.0;
-  trace_cfg.graph.num_pages = 80;
-  trace_cfg.seed = 21;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  // Every replayable kind (the oracle needs the generating graph).
-  const TraceReplayConfig::PredictorKind predictors[] = {
-      PredictorKind::kMarkov,
-      PredictorKind::kPpm,
-      PredictorKind::kDependencyGraph,
-      PredictorKind::kFrequency,
-  };
-  for (auto predictor : predictors) {
-    TraceReplayConfig cfg;
-    cfg.bandwidth = 60.0;
-    cfg.cache_capacity = 8;
-    cfg.predictor_kind = predictor;
-
-    cfg.use_legacy_predictors = false;
-    ThresholdPolicy plane_policy(core::InteractionModel::kModelA);
-    const ProxySimResult plane = run_trace_replay(trace, cfg, plane_policy);
-
-    cfg.use_legacy_predictors = true;
-    ThresholdPolicy legacy_policy(core::InteractionModel::kModelA);
-    const ProxySimResult legacy = run_trace_replay(trace, cfg, legacy_policy);
-
-    SCOPED_TRACE("predictor=" + std::to_string(static_cast<int>(predictor)));
-    expect_identical(plane, legacy);
-    EXPECT_GT(plane.requests, 0u);
-  }
-}
-
-TEST(StackDifferential, ShardedReplayPredictorPlaneMatchesLegacy) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 300;
-  trace_cfg.num_requests = 3000;
-  trace_cfg.request_rate = 50.0;
-  trace_cfg.graph.num_pages = 80;
-  trace_cfg.seed = 33;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  for (auto predictor : {PredictorKind::kMarkov, PredictorKind::kPpm}) {
-    ShardedReplayConfig cfg;
-    cfg.stack.bandwidth = 60.0;
-    cfg.stack.cache_capacity = 8;
-    cfg.stack.predictor_kind = predictor;
-    cfg.num_shards = 3;
-    cfg.num_threads = 1;
-    const PolicyFactory factory = [] {
-      return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
-    };
-
-    cfg.stack.use_legacy_predictors = false;
-    const ShardedReplayResult plane = run_sharded_replay(trace, cfg, factory);
-
-    cfg.stack.use_legacy_predictors = true;
-    const ShardedReplayResult legacy = run_sharded_replay(trace, cfg, factory);
-
-    SCOPED_TRACE("predictor=" + std::to_string(static_cast<int>(predictor)));
-    expect_identical(plane.merged, legacy.merged);
-    EXPECT_EQ(plane.cross_shard_events, legacy.cross_shard_events);
-    EXPECT_EQ(plane.backbone.jobs(), legacy.backbone.jobs());
-    EXPECT_GT(plane.merged.requests, 0u);
-  }
+void expect_identical(const ProxySimResult& a, const ProxySimResult& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.demand_jobs, b.demand_jobs);
+  EXPECT_EQ(a.prefetch_jobs, b.prefetch_jobs);
+  EXPECT_EQ(a.wasted_prefetch_evictions, b.wasted_prefetch_evictions);
+  EXPECT_EQ(a.inflight_hits, b.inflight_hits);
+  EXPECT_DOUBLE_EQ(a.mean_access_time, b.mean_access_time);
+  EXPECT_DOUBLE_EQ(a.access_time_std_error, b.access_time_std_error);
+  EXPECT_DOUBLE_EQ(a.hit_ratio, b.hit_ratio);
+  EXPECT_DOUBLE_EQ(a.server_utilization, b.server_utilization);
+  EXPECT_DOUBLE_EQ(a.retrieval_time_per_request,
+                   b.retrieval_time_per_request);
+  EXPECT_DOUBLE_EQ(a.retrievals_per_request, b.retrievals_per_request);
+  EXPECT_DOUBLE_EQ(a.hprime_estimate, b.hprime_estimate);
+  EXPECT_DOUBLE_EQ(a.prefetch_useful_fraction,
+                   b.prefetch_useful_fraction);
+  EXPECT_DOUBLE_EQ(a.mean_inflight_wait, b.mean_inflight_wait);
+  EXPECT_DOUBLE_EQ(a.mean_demand_sojourn, b.mean_demand_sojourn);
+  EXPECT_DOUBLE_EQ(a.access_time_p50, b.access_time_p50);
+  EXPECT_DOUBLE_EQ(a.access_time_p95, b.access_time_p95);
+  EXPECT_DOUBLE_EQ(a.access_time_p99, b.access_time_p99);
 }
 
 // --- telemetry on vs off: observation must be bit-identical -----------------
@@ -668,31 +400,6 @@ TEST(StackDifferential, ShardedReplayFileCursorMatchesDecodedInRam) {
   EXPECT_EQ(streamed.backbone.jobs(), ram.backbone.jobs());
   EXPECT_GT(streamed.merged.requests, 0u);
   std::remove(path.c_str());
-}
-
-TEST(StackDifferential, TraceReplayFlatMatchesTree) {
-  SyntheticTraceConfig trace_cfg;
-  trace_cfg.num_users = 500;
-  trace_cfg.num_requests = 5000;
-  trace_cfg.request_rate = 50.0;
-  trace_cfg.graph.num_pages = 80;
-  trace_cfg.seed = 21;
-  const Trace trace = generate_synthetic_trace(trace_cfg);
-
-  TraceReplayConfig cfg;
-  cfg.bandwidth = 60.0;
-  cfg.cache_capacity = 8;
-
-  cfg.use_tree_inflight = false;
-  ThresholdPolicy flat_policy(core::InteractionModel::kModelA);
-  const ProxySimResult flat = run_trace_replay(trace, cfg, flat_policy);
-
-  cfg.use_tree_inflight = true;
-  ThresholdPolicy tree_policy(core::InteractionModel::kModelA);
-  const ProxySimResult tree = run_trace_replay(trace, cfg, tree_policy);
-
-  expect_identical(flat, tree);
-  EXPECT_GT(flat.requests, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // Trace-driven replay: determinism, paired policy comparisons, golden
-// result digests, and observability equivalence.
+// result digests (the replay matrix, and the full-stack backend matrix
+// across the proxy sim, replay and a sharded fleet), and observability
+// equivalence.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,6 +11,8 @@
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
+#include "shard/sharded_sim.hpp"
+#include "sim/proxy_sim.hpp"
 #include "sim/trace_replay.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
@@ -262,6 +266,177 @@ TEST(TraceReplayGolden, MatrixDigestsMatchRecordedValues) {
   // The abort hook really fired somewhere, so the pinned abort legs cover
   // the stop-feeding-then-drain path, not just a full replay.
   EXPECT_GT(aborted, 0u);
+}
+
+// --- full-stack backend digests ----------------------------------------------
+//
+// Recorded at the last revision that still carried the legacy backends, in
+// a run that also required every configuration to produce the same digest
+// with the std::map in-flight index, the per-user TaggedCache fleet, the
+// virtual predictor tables, and all three at once. Each table lists its
+// matrix innermost-last.
+
+/// A sharded replay's fleet result, every shard's result, and its
+/// cross-shard traffic, folded into one digest.
+std::uint64_t digest(const ShardedReplayResult& r) {
+  std::uint64_t h = digest(r.merged);
+  const auto fold = [&h](std::uint64_t v) {
+    h = (h ^ v) * 1099511628211ull;
+  };
+  for (const ProxySimResult& shard : r.per_shard) fold(digest(shard));
+  fold(r.cross_shard_events);
+  fold(r.epochs);
+  fold(r.backbone.jobs());
+  return h;
+}
+
+Trace backend_trace(std::size_t users, std::size_t requests,
+                    std::uint64_t seed) {
+  SyntheticTraceConfig cfg;
+  cfg.num_users = users;
+  cfg.num_requests = requests;
+  cfg.request_rate = 50.0;
+  cfg.graph.num_pages = 80;
+  cfg.seed = seed;
+  return generate_synthetic_trace(cfg);
+}
+
+constexpr CacheKind kAllCaches[] = {CacheKind::kLru, CacheKind::kLfu,
+                                    CacheKind::kFifo, CacheKind::kClock,
+                                    CacheKind::kRandom};
+
+/// Checks `got[i]` (run `labels[i]`) against `want[i]` for every entry.
+template <std::size_t N>
+void expect_recorded(const std::vector<std::uint64_t>& got,
+                     const std::vector<std::string>& labels,
+                     const std::uint64_t (&want)[N]) {
+  ASSERT_EQ(got.size(), N);
+  for (std::size_t i = 0; i < N; ++i) {
+    EXPECT_EQ(got[i], want[i]) << labels[i] << " digest " << hex(got[i]);
+  }
+}
+
+// Predictor (markov, ppm, depgraph, frequency, oracle) x cache kind.
+constexpr std::uint64_t kProxyBackendDigests[] = {
+    0x97e774fd9897b35b, 0x10175f809009cc2a, 0xa034cbac24665f54,
+    0xdea5af67bd8d53df, 0xd37416079a8dd393, 0xa7d7fa8911abffd9,
+    0x024b39bab67395d2, 0x3abb713e47277657, 0xcb8ba2dc4d854bac,
+    0x61dd160fd23d3326, 0xedfc891eaa0e1562, 0xc8d399cae9a83551,
+    0x29751de29fd21930, 0x966f760fe5519385, 0xb4cfc292772c8928,
+    0x3a41a7a22a55e388, 0x6bd3892d5c37136e, 0x7ec3a7c2ae9a5435,
+    0x2c127cfe08b43510, 0xdd3fbe623ff1d45f, 0x55ff25aeec886c75,
+    0x8f9e7765963ce161, 0x8cc38038d69d13e9, 0x96bc23b743af213e,
+    0xe0813401cb448e89,
+};
+
+TEST(TraceReplayGolden, ProxySimBackendMatrixMatchesRecordedValues) {
+  std::vector<std::uint64_t> digests;
+  std::vector<std::string> labels;
+  for (int p = 0; p < kNumPredictorKinds; ++p) {
+    for (CacheKind cache : kAllCaches) {
+      // Four users on a tight 12-entry cache keep evictions and in-flight
+      // attaches hot through the whole run.
+      ProxySimConfig cfg;
+      cfg.num_users = 4;
+      cfg.bandwidth = 30.0;
+      cfg.graph.num_pages = 60;
+      cfg.graph.out_degree = 3;
+      cfg.graph.exit_probability = 0.2;
+      cfg.cache_capacity = 12;
+      cfg.duration = 120.0;
+      cfg.warmup = 20.0;
+      cfg.seed = 9;
+      cfg.predictor_kind = static_cast<PredictorKind>(p);
+      cfg.cache_kind = cache;
+      ThresholdPolicy policy(core::InteractionModel::kModelA);
+      const ProxySimResult r = run_proxy_sim(cfg, policy);
+      EXPECT_GT(r.requests, 0u);
+      digests.push_back(digest(r));
+      labels.push_back(std::string(predictor_kind_name(cfg.predictor_kind)) +
+                       "/" + cache_kind_name(cache));
+    }
+  }
+  expect_recorded(digests, labels, kProxyBackendDigests);
+}
+
+// Replayable predictor (markov, ppm, depgraph, frequency) x cache kind x
+// capacity (8, 24).
+constexpr std::uint64_t kReplayBackendDigests[] = {
+    0x4d6c506b06521d9f, 0xa3a4bf489b1e2728, 0x96d51757a6bddd39,
+    0xa3a4bf489b1e2728, 0x29dc2f0ec7599729, 0xa3a4bf489b1e2728,
+    0x20d5334644bc02d8, 0xa3a4bf489b1e2728, 0xa7df199615fdf65d,
+    0xa3a4bf489b1e2728, 0x67692be27cbd68d0, 0x69a127b8dd329e56,
+    0x43c0e17a61fcc124, 0x69a127b8dd329e56, 0xe6edb0f919cf0285,
+    0x69a127b8dd329e56, 0xe6edb0f919cf0285, 0x69a127b8dd329e56,
+    0x3634a152aab5d52c, 0x69a127b8dd329e56, 0xf2dd4dd5177cefdf,
+    0xa1f67ccf0cc145f6, 0xa47e35ec1eba0f22, 0xa1f67ccf0cc145f6,
+    0xe820bf7e5b54912d, 0xa1f67ccf0cc145f6, 0xe820bf7e5b54912d,
+    0xa1f67ccf0cc145f6, 0x8cef7bc189dec838, 0xa1f67ccf0cc145f6,
+    0xf2dd4dd5177cefdf, 0xa1f67ccf0cc145f6, 0xa47e35ec1eba0f22,
+    0xa1f67ccf0cc145f6, 0xe820bf7e5b54912d, 0xa1f67ccf0cc145f6,
+    0xe820bf7e5b54912d, 0xa1f67ccf0cc145f6, 0x8cef7bc189dec838,
+    0xa1f67ccf0cc145f6,
+};
+
+TEST(TraceReplayGolden, ReplayBackendMatrixMatchesRecordedValues) {
+  const Trace trace = backend_trace(500, 5000, 21);
+  std::vector<std::uint64_t> digests;
+  std::vector<std::string> labels;
+  for (PredictorKind predictor :
+       {PredictorKind::kMarkov, PredictorKind::kPpm,
+        PredictorKind::kDependencyGraph, PredictorKind::kFrequency}) {
+    for (CacheKind cache : kAllCaches) {
+      for (std::size_t capacity : {std::size_t{8}, std::size_t{24}}) {
+        TraceReplayConfig cfg;
+        cfg.bandwidth = 60.0;
+        cfg.cache_capacity = capacity;
+        cfg.cache_kind = cache;
+        cfg.predictor_kind = predictor;
+        ThresholdPolicy policy(core::InteractionModel::kModelA);
+        const ProxySimResult r = run_trace_replay(trace, cfg, policy);
+        EXPECT_GT(r.requests, 0u);
+        digests.push_back(digest(r));
+        labels.push_back(std::string(predictor_kind_name(predictor)) + "/" +
+                         cache_kind_name(cache) + "/" +
+                         std::to_string(capacity));
+      }
+    }
+  }
+  expect_recorded(digests, labels, kReplayBackendDigests);
+}
+
+// A 3-shard fleet: predictor (markov, ppm) x cache kind.
+constexpr std::uint64_t kShardedBackendDigests[] = {
+    0xa7bb09606594c7b4, 0xd813222beb889a5f, 0x20c3a1e0c2d3c925,
+    0xfb4c5371a0eba750, 0x4f08f9f51145829e, 0xaa81d5e8002d0d01,
+    0xe84872b90058c0dd, 0x57e5637d359b7078, 0x73dd7b5c285a39a9,
+    0x71a60919635b10d5,
+};
+
+TEST(TraceReplayGolden, ShardedBackendMatrixMatchesRecordedValues) {
+  const Trace trace = backend_trace(300, 3000, 33);
+  const PolicyFactory factory = [] {
+    return std::make_unique<ThresholdPolicy>(core::InteractionModel::kModelA);
+  };
+  std::vector<std::uint64_t> digests;
+  std::vector<std::string> labels;
+  for (PredictorKind predictor : {PredictorKind::kMarkov, PredictorKind::kPpm}) {
+    for (CacheKind cache : kAllCaches) {
+      ShardedReplayConfig cfg;
+      cfg.stack.bandwidth = 60.0;
+      cfg.stack.cache_capacity = 8;
+      cfg.stack.cache_kind = cache;
+      cfg.stack.predictor_kind = predictor;
+      cfg.num_shards = 3;
+      cfg.num_threads = 1;
+      const ShardedReplayResult r = run_sharded_replay(trace, cfg, factory);
+      EXPECT_GT(r.merged.requests, 0u);
+      digests.push_back(digest(r));
+      labels.push_back(std::string(predictor_kind_name(predictor)) + "/" +
+                       cache_kind_name(cache));
+    }
+  }
+  expect_recorded(digests, labels, kShardedBackendDigests);
 }
 
 // --- observability equivalence ----------------------------------------------

@@ -21,6 +21,7 @@
 #include "cache/cache_arena.hpp"
 #include "cache/cache_plane.hpp"
 #include "cache/factory.hpp"
+#include "cache/reference_caches.hpp"
 #include "des/simulator.hpp"
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
@@ -190,8 +191,7 @@ TEST(AuditClean, CachePlanesAllKindsNarrowAndWideBlocks) {
       cfg.num_users = 16;
       cfg.capacity = capacity;
       cfg.seed = 20010803;
-      auto plane =
-          make_cache_plane(static_cast<CacheKind>(k), cfg, /*use_legacy=*/false);
+      auto plane = make_cache_plane(static_cast<CacheKind>(k), cfg);
       TinyRng rng{0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(k)};
       for (int op = 0; op < 4000; ++op) {
         const std::uint32_t user = rng.below(16);
@@ -213,11 +213,11 @@ TEST(AuditClean, CachePlanesAllKindsNarrowAndWideBlocks) {
   }
 }
 
-TEST(AuditClean, LegacyCachePlaneCountersOnly) {
+TEST(AuditClean, ReferenceCacheFleetCountersOnly) {
   CachePlaneConfig cfg;
   cfg.num_users = 4;
   cfg.capacity = 8;
-  auto plane = make_cache_plane(CacheKind::kLru, cfg, /*use_legacy=*/true);
+  auto plane = make_tagged_cache_fleet(CacheKind::kLru, cfg);
   for (int op = 0; op < 200; ++op) {
     plane->access(op % 4, static_cast<ItemId>(op % 20));
     plane->admit_demand(op % 4, static_cast<ItemId>(op % 20));
@@ -233,7 +233,7 @@ TEST(AuditClean, PredictorPlanesAllArenaKinds) {
                              PredictorKind::kFrequency}) {
     PredictorPlaneConfig cfg;
     cfg.num_users = 8;
-    auto plane = make_predictor_plane(kind, cfg, /*use_legacy=*/false);
+    auto plane = make_predictor_plane(kind, cfg);
     TinyRng rng{42};
     std::vector<core::Candidate> scratch;
     for (int op = 0; op < 3000; ++op) {
@@ -281,7 +281,7 @@ TEST(AuditClean, StackRuntimeEndToEnd) {
   PredictorPlaneConfig pcfg;
   pcfg.num_users = 6;
   auto predictor =
-      make_predictor_plane(PredictorKind::kMarkov, pcfg, /*use_legacy=*/false);
+      make_predictor_plane(PredictorKind::kMarkov, pcfg);
   FixedThresholdPolicy policy(0.05);
   StackRuntimeConfig cfg;
   cfg.num_users = 6;
@@ -509,7 +509,7 @@ TEST(AuditInjection, StackRuntimeDemandCountDesync) {
   PredictorPlaneConfig pcfg;
   pcfg.num_users = 2;
   auto predictor =
-      make_predictor_plane(PredictorKind::kFrequency, pcfg, false);
+      make_predictor_plane(PredictorKind::kFrequency, pcfg);
   FixedThresholdPolicy policy(0.05);
   StackRuntimeConfig cfg;
   cfg.num_users = 2;
@@ -538,7 +538,7 @@ TEST(AuditInjection, StackRuntimeEstimateSumDrift) {
   PredictorPlaneConfig pcfg;
   pcfg.num_users = 2;
   auto predictor =
-      make_predictor_plane(PredictorKind::kFrequency, pcfg, false);
+      make_predictor_plane(PredictorKind::kFrequency, pcfg);
   FixedThresholdPolicy policy(0.05);
   StackRuntimeConfig cfg;
   cfg.num_users = 2;

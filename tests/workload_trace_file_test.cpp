@@ -1,14 +1,18 @@
 // Binary .spt trace format tests: round-trip exactness on the microsecond
 // grid, quantization bounds off it, cursor/chunk edge cases, shard-filtered
 // cursors against partition_by_user, and loud rejection of truncated or
-// bit-flipped files. The replay differential tests lean on the canonical-
+// bit-flipped files — hand-picked cases plus a seeded mutation sweep over
+// the .spt reader and the CSV loader. The replay differential tests lean on the canonical-
 // decode property proven here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <stdexcept>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -284,6 +288,128 @@ TEST(TraceFileFormat, StreamedGeneratorWritesSameFileAsMaterializedTrace) {
   EXPECT_EQ(bytes_a, bytes_b);  // byte-identical files
   std::remove(stream_path.c_str());
   std::remove(ram_path.c_str());
+}
+
+// --- deterministic mutation sweep --------------------------------------------
+
+/// A mutant of `bytes`: one to four random byte overwrites, a truncation to
+/// a random length, or both. The overwrites favour the first and last 64
+/// bytes (header and chunk index) as often as the payload.
+std::vector<char> mutate(const std::vector<char>& bytes, Rng& rng) {
+  std::vector<char> out = bytes;
+  const std::uint64_t shape = rng.next_below(3);  // 0 overwrite, 1 cut, 2 both
+  if (shape != 1) {
+    const std::uint64_t writes = 1 + rng.next_below(4);
+    for (std::uint64_t w = 0; w < writes; ++w) {
+      std::size_t at = rng.next_below(out.size());
+      if (rng.next_below(2) == 0) {
+        const std::size_t edge = rng.next_below(std::min<std::size_t>(64, out.size()));
+        at = rng.next_below(2) == 0 ? edge : out.size() - 1 - edge;
+      }
+      out[at] = static_cast<char>(rng.next_below(256));
+    }
+  }
+  if (shape != 0) out.resize(rng.next_below(out.size()));
+  return out;
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Drains `cursor` (throws std::runtime_error on corruption, possibly
+/// after yielding some records), then requires the full decode to be
+/// time-ordered inside the file's [first_time, last_time].
+std::vector<TraceRecord> drain(const TraceFile& file, TraceCursor& cursor) {
+  std::vector<TraceRecord> out;
+  TraceRecord r;
+  while (cursor.next(&r)) out.push_back(r);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_GE(out[i].time, file.first_time()) << "record " << i;
+    EXPECT_LE(out[i].time, file.last_time()) << "record " << i;
+    if (i > 0) {
+      EXPECT_GE(out[i].time, out[i - 1].time) << "record " << i;
+    }
+  }
+  return out;
+}
+
+TEST(TraceFileFormat, MutatedFilesThrowOrDecodeConsistently) {
+  // Every mutant either throws std::runtime_error (anything else escapes
+  // and fails the test) or decodes exactly record_count() time-ordered
+  // records inside the header's span; the shard-1-of-3 cursor then yields
+  // exactly the unfiltered decode's shard-1 records.
+  const std::string path = write_tmp("mutant.spt", make_grid_trace(300, 29), 64);
+  const std::vector<char> bytes = read_bytes(path);
+  Rng rng(20010417);
+  std::size_t decoded = 0;
+  for (int m = 0; m < 400; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    write_bytes(path, mutate(bytes, rng));
+    try {
+      const TraceFile file(path);
+      TraceCursor all(file);
+      const std::vector<TraceRecord> records = drain(file, all);
+      ASSERT_EQ(records.size(), file.record_count());
+      TraceCursor shard(file, 1, 3);
+      const std::vector<TraceRecord> mine = drain(file, shard);
+      std::vector<TraceRecord> want;
+      for (const TraceRecord& r : records) {
+        if (r.user % 3 == 1) want.push_back(r);
+      }
+      ASSERT_EQ(mine.size(), want.size());
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        EXPECT_EQ(mine[i].time, want[i].time);
+        EXPECT_EQ(mine[i].user, want[i].user);
+        EXPECT_EQ(mine[i].item, want[i].item);
+      }
+      ++decoded;
+    } catch (const std::runtime_error&) {
+    }
+  }
+  // Some mutants (payload overwrites that keep every varint well formed
+  // and every chunk boundary consistent) still decode; the sweep must see
+  // both outcomes to cover both branches.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, 400u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceCsv, MutatedFilesThrowOrLoadTimeOrdered) {
+  // The CSV loader's contract under corruption: std::runtime_error, or a
+  // trace of finite, non-decreasing timestamps.
+  std::ostringstream csv;
+  make_grid_trace(200, 31).save_csv(csv);
+  const std::string text = csv.str();
+  const std::vector<char> bytes(text.begin(), text.end());
+  Rng rng(20010418);
+  std::size_t loaded = 0;
+  for (int m = 0; m < 400; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    const std::vector<char> mutant = mutate(bytes, rng);
+    std::istringstream in(std::string(mutant.begin(), mutant.end()));
+    try {
+      const Trace trace = Trace::load_csv(in);
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(trace.records()[i].time)) << "record " << i;
+        if (i > 0) {
+          ASSERT_GE(trace.records()[i].time, trace.records()[i - 1].time)
+              << "record " << i;
+        }
+      }
+      ++loaded;
+    } catch (const std::runtime_error&) {
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, 400u);
 }
 
 }  // namespace
