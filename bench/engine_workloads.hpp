@@ -24,15 +24,17 @@ inline std::uint64_t schedule_and_run(Rng& rng, std::size_t events) {
   return sim.events_executed();
 }
 
-/// Schedules 10000 events, cancels every other one, then drains.
-inline std::uint64_t cancel_heavy(Rng& rng) {
+/// Schedules 10000 events at random times; each one re-arms a shared timer
+/// up to 1 s ahead, the way every arrival moves a PS link's next
+/// completion. Drains; the timer fires whenever no event intervenes.
+inline std::uint64_t timer_rearm(Rng& rng) {
   Simulator sim;
-  std::vector<EventId> ids;
-  ids.reserve(10000);
+  const Simulator::TimerId timer = sim.add_timer([] {});
   for (int i = 0; i < 10000; ++i) {
-    ids.push_back(sim.schedule_at(rng.next_double() * 100.0, [] {}));
+    sim.schedule_at(rng.next_double() * 100.0, [&sim, &rng, timer] {
+      sim.arm_timer(timer, sim.now() + rng.next_double());
+    });
   }
-  for (std::size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);
   sim.run();
   return sim.events_executed();
 }

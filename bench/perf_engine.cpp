@@ -22,13 +22,13 @@ void BM_EventQueue_ScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_ScheduleAndRun)->Arg(1024)->Arg(16384)->Arg(131072);
 
-void BM_EventQueue_CancelHeavy(benchmark::State& state) {
+void BM_EventQueue_TimerRearm(benchmark::State& state) {
   Rng rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(benchwork::cancel_heavy(rng));
+    benchmark::DoNotOptimize(benchwork::timer_rearm(rng));
   }
 }
-BENCHMARK(BM_EventQueue_CancelHeavy);
+BENCHMARK(BM_EventQueue_TimerRearm);
 
 void BM_PsServer_Throughput(benchmark::State& state) {
   // Sustained M/M/1-PS at rho = 0.7: jobs processed per second of CPU.

@@ -9,8 +9,6 @@ namespace specpf {
 
 namespace {
 constexpr std::size_t kHeapArity = 4;
-// Compaction is pointless (and would thrash) on tiny heaps.
-constexpr std::size_t kCompactionMinHeap = 64;
 // Minimum bulk-load batch worth sorting into the O(1)-pop second tier.
 constexpr std::size_t kSortedRunMin = 1024;
 }  // namespace
@@ -22,7 +20,7 @@ Simulator::~Simulator() {
 }
 
 std::uint32_t Simulator::acquire_slot() {
-  if (free_head_ != EventId::kInvalid) {
+  if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
     free_head_ = node_at(slot).next_free;
     if (slot < poisoned_.size()) poisoned_[slot] = 0;  // live again
@@ -32,7 +30,6 @@ std::uint32_t Simulator::acquire_slot() {
   if (slab_size_ == chunks_.size() * kChunkSize) {
     chunks_.push_back(ChunkPtr(static_cast<std::byte*>(::operator new[](
         kChunkSize * sizeof(Node), std::align_val_t{kCacheLineBytes}))));
-    dead_bits_.resize(chunks_.size() * kChunkSize / 64, 0);
   }
   const auto slot = static_cast<std::uint32_t>(slab_size_++);
   ::new (&node_at(slot)) Node();
@@ -41,17 +38,12 @@ std::uint32_t Simulator::acquire_slot() {
 
 void Simulator::release_slot(std::uint32_t slot) {
   Node& node = node_at(slot);
-  ++node.generation;  // stale handles (ABA) now mismatch
   node.next_free = free_head_;
   free_head_ = slot;
   if (audit_mode_) {
-    if (shadow_gen_.size() < slab_size_) {
-      shadow_gen_.resize(slab_size_, EventId::kInvalid);
-      poisoned_.resize(slab_size_, 0);
-    }
+    if (poisoned_.size() < slab_size_) poisoned_.resize(slab_size_, 0);
     node.action.poison_storage(kPoisonByte);  // empty: only buf_ touched
     poisoned_[slot] = 1;
-    shadow_gen_[slot] = node.generation;
   }
 }
 
@@ -62,7 +54,7 @@ void Simulator::audit(AuditReport& report) const {
   // 0 = unseen, 1 = on the free list, 2 = named by a pending entry.
   std::vector<std::uint8_t> state(slab_size_, 0);
   std::size_t free_count = 0;
-  for (std::uint32_t slot = free_head_; slot != EventId::kInvalid;
+  for (std::uint32_t slot = free_head_; slot != kNoSlot;
        slot = node_at(slot).next_free) {
     if (!report.check(slot < slab_size_,
                       "free list points past the slab (slot " +
@@ -82,13 +74,11 @@ void Simulator::audit(AuditReport& report) const {
     if (slot < poisoned_.size() && poisoned_[slot]) {
       report.check(node.action.storage_is(kPoisonByte),
                    "freed slot " + std::to_string(slot) +
-                       " poison overwritten (write through a stale "
-                       "handle?)");
+                       " poison overwritten (write after release?)");
     }
   }
-  // Pending entries across both tiers: valid unique slots, armed exactly
-  // when live, times no earlier than the clock.
-  std::size_t dead_seen = 0;
+  // Queued entries across both tiers: valid unique armed slots, times no
+  // earlier than the clock.
   auto check_entry = [&](const HeapEntry& entry, const char* tier) {
     const std::uint32_t slot = entry.slot();
     if (!report.check(slot < slab_size_, std::string(tier) +
@@ -104,39 +94,35 @@ void Simulator::audit(AuditReport& report) const {
       return;
     }
     state[slot] = 2;
-    const Node& node = node_at(slot);
-    if (is_dead(slot)) {
-      ++dead_seen;
-      report.check(!node.action, "tombstoned slot " + std::to_string(slot) +
-                                     " still armed");
-    } else {
-      report.check(static_cast<bool>(node.action),
-                   std::string(tier) + " live slot " + std::to_string(slot) +
-                       " is disarmed (lost action)");
-      report.check(entry.time >= now_,
-                   std::string(tier) + " live entry at slot " +
-                       std::to_string(slot) + " is scheduled in the past");
-    }
+    report.check(static_cast<bool>(node_at(slot).action),
+                 std::string(tier) + " slot " + std::to_string(slot) +
+                     " is disarmed (lost action)");
+    report.check(entry.time >= now_, std::string(tier) + " entry at slot " +
+                                         std::to_string(slot) +
+                                         " is scheduled in the past");
   };
   for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
     check_entry(heap_[i], "heap");
   }
   for (const HeapEntry& entry : sorted_run_) check_entry(entry, "run");
-  report.check(dead_seen == dead_in_heap_,
-               "tombstone bitset marks " + std::to_string(dead_seen) +
-                   " pending slots but dead_in_heap_ says " +
-                   std::to_string(dead_in_heap_));
-  // Generation shadowing (audit mode): every tracked slot's generation must
-  // match what release_slot last recorded — a mismatch means a rollback or
-  // forgery through a recycled slot.
-  for (std::uint32_t slot = 0;
-       slot < shadow_gen_.size() && slot < slab_size_; ++slot) {
-    if (shadow_gen_[slot] == EventId::kInvalid) continue;
-    report.check(node_at(slot).generation == shadow_gen_[slot],
-                 "slot " + std::to_string(slot) +
-                     " generation diverged from its shadow (rolled back or "
-                     "forged)");
+  // Timers: every one keeps its action; an armed one carries its own id and
+  // a time no earlier than the clock, and the armed count is exact.
+  std::size_t armed = 0;
+  for (std::size_t id = 0; id < timers_.size(); ++id) {
+    const Timer& timer = timers_[id];
+    report.check(static_cast<bool>(timer.action),
+                 "timer " + std::to_string(id) + " lost its action");
+    if (!timer.armed) continue;
+    ++armed;
+    report.check(timer.key.slot() == id,
+                 "timer " + std::to_string(id) + " key names timer " +
+                     std::to_string(timer.key.slot()));
+    report.check(timer.key.time >= now_, "timer " + std::to_string(id) +
+                                             " is armed in the past");
   }
+  report.check(armed == armed_timers_,
+               std::to_string(armed) + " timers armed but the count says " +
+                   std::to_string(armed_timers_));
   // Structural health of the ordering tiers.
   report.check(heapified_ >= kHeapBase && heapified_ <= heap_.size(),
                "heapified_ watermark out of range");
@@ -151,11 +137,11 @@ void Simulator::audit(AuditReport& report) const {
     report.check(sorted_run_[i + 1].before(sorted_run_[i]),
                  "sorted run not descending at index " + std::to_string(i));
   }
-  // Slab conservation: every slot is free or pending, never both/neither.
-  report.check(free_count + (pending()) == slab_size_,
+  // Slab conservation: every slot is free or queued, never both/neither.
+  report.check(free_count + queued() == slab_size_,
                "slab conservation: " + std::to_string(free_count) +
-                   " free + " + std::to_string(pending()) +
-                   " pending != " + std::to_string(slab_size_) + " slots");
+                   " free + " + std::to_string(queued()) +
+                   " queued != " + std::to_string(slab_size_) + " slots");
 }
 
 // Physical indexing (see kHeapBase): children of i are 4i-8 .. 4i-5, parent
@@ -219,7 +205,7 @@ void Simulator::flush_batch() {
   const std::size_t size = heap_.size();
   if (heapified_ == size) return;
   const std::size_t batch = size - heapified_;
-  // Bulk load with nothing else pending: sort once, pop O(1) thereafter.
+  // Bulk load with nothing else queued: sort once, pop O(1) thereafter.
   if (batch >= kSortedRunMin && heapified_ == kHeapBase &&
       sorted_run_.empty()) {
     sorted_run_.assign(heap_.begin() + kHeapBase, heap_.end());
@@ -239,37 +225,10 @@ void Simulator::flush_batch() {
   }
 }
 
-void Simulator::compact() {
-  std::size_t out = kHeapBase;
-  for (std::size_t i = kHeapBase; i < heap_.size(); ++i) {
-    const HeapEntry entry = heap_[i];
-    if (!is_dead(entry.slot())) {
-      heap_[out++] = entry;
-    } else {
-      clear_dead(entry.slot());
-      release_slot(entry.slot());
-    }
-  }
-  heap_.resize(out);
-  // Filtering the sorted run preserves its descending order.
-  std::size_t run_out = 0;
-  for (std::size_t i = 0; i < sorted_run_.size(); ++i) {
-    const HeapEntry entry = sorted_run_[i];
-    if (!is_dead(entry.slot())) {
-      sorted_run_[run_out++] = entry;
-    } else {
-      clear_dead(entry.slot());
-      release_slot(entry.slot());
-    }
-  }
-  sorted_run_.resize(run_out);
-  dead_in_heap_ = 0;
-  floyd_heapify();  // also absorbs any pending appended batch
-}
-
-// Reassigns pending seqs 0..n-1 preserving relative order. A monotone remap
-// leaves every heap comparison's outcome unchanged, so the heap structure
-// itself needs no rebuild. Runs once per ~1.1e12 scheduled events.
+// Reassigns pending seqs 0..n-1 (armed timers included) preserving relative
+// order. A monotone remap leaves every heap comparison's outcome unchanged,
+// so the heap structure itself needs no rebuild. Runs once per ~1.1e12
+// scheduled events.
 void Simulator::renumber_seqs() {
   std::vector<HeapEntry*> order;
   order.reserve(pending());
@@ -277,6 +236,9 @@ void Simulator::renumber_seqs() {
     order.push_back(&heap_[i]);
   }
   for (HeapEntry& entry : sorted_run_) order.push_back(&entry);
+  for (Timer& timer : timers_) {
+    if (timer.armed) order.push_back(&timer.key);
+  }
   std::sort(order.begin(), order.end(),
             [](const HeapEntry* a, const HeapEntry* b) {
               return a->tie < b->tie;
@@ -288,47 +250,67 @@ void Simulator::renumber_seqs() {
   next_seq_ = seq;
 }
 
-EventId Simulator::schedule_at(double when, Action action) {
+void Simulator::schedule_at(double when, Action action) {
   SPECPF_EXPECTS(when >= now_);
   SPECPF_EXPECTS(static_cast<bool>(action));
   if (next_seq_ == kMaxSeq) renumber_seqs();
   const std::uint32_t slot = acquire_slot();
-  Node& node = node_at(slot);
-  node.action = std::move(action);
+  node_at(slot).action = std::move(action);
   heap_.push_back(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
-  return EventId(slot, node.generation, this);
 }
 
-EventId Simulator::schedule_in(double delay, Action action) {
+void Simulator::schedule_in(double delay, Action action) {
   SPECPF_EXPECTS(delay >= 0.0);
-  return schedule_at(now_ + delay, std::move(action));
+  schedule_at(now_ + delay, std::move(action));
 }
 
-void Simulator::cancel(const EventId& id) {
-  if (id.slot_ >= slab_size_) return;
-  SPECPF_ASSERT(id.owner_ == this && "EventId belongs to another Simulator");
-  Node& node = node_at(id.slot_);
-  if (!node.action || node.generation != id.generation_) return;
-  node.action.reset();  // frees captured resources eagerly
-  mark_dead(id.slot_);
-  ++dead_in_heap_;
-  if (2 * dead_in_heap_ >= pending() && pending() >= kCompactionMinHeap) {
-    compact();
+Simulator::TimerId Simulator::add_timer(Action action) {
+  SPECPF_EXPECTS(static_cast<bool>(action));
+  SPECPF_ASSERT(timers_.size() < kMaxSlots);
+  timers_.emplace_back().action = std::move(action);
+  return static_cast<TimerId>(timers_.size() - 1);
+}
+
+void Simulator::arm_timer(TimerId id, double when) {
+  SPECPF_EXPECTS(id < timers_.size());
+  SPECPF_EXPECTS(when >= now_);
+  if (next_seq_ == kMaxSeq) renumber_seqs();
+  Timer& timer = timers_[id];
+  timer.key = HeapEntry{when, (next_seq_++ << kSlotBits) | id};
+  if (!timer.armed) {
+    timer.armed = true;
+    ++armed_timers_;
   }
+}
+
+void Simulator::disarm_timer(TimerId id) {
+  SPECPF_EXPECTS(id < timers_.size());
+  Timer& timer = timers_[id];
+  if (!timer.armed) return;
+  timer.armed = false;
+  --armed_timers_;
 }
 
 bool Simulator::run_next(double limit) {
   flush_batch();
   HeapEntry top;
-  bool from_run;
-  if (!peek_live_top(&top, &from_run)) return false;
-  if (top.time > limit) return false;
+  Source source;
+  if (!peek_top(&top, &source) || top.time > limit) return false;
+  if (source == Source::kTimer) {
+    Timer& timer = timers_[top.slot()];
+    timer.armed = false;
+    --armed_timers_;
+    now_ = top.time;
+    ++executed_;
+    timer.action();  // in place: the action may re-arm its own timer
+    return true;
+  }
   const std::uint32_t slot = top.slot();
   Node& node = node_at(slot);
   // Start fetching the node's cache line now; the pop below overlaps the
   // miss so the action is already local when it is moved out.
   __builtin_prefetch(&node, /*rw=*/1);
-  if (from_run) {
+  if (source == Source::kRun) {
     sorted_run_.pop_back();
   } else {
     heap_remove_top();
@@ -341,33 +323,37 @@ bool Simulator::run_next(double limit) {
   return true;
 }
 
-bool Simulator::peek_live_top(HeapEntry* top, bool* from_run) {
-  for (;;) {
-    const bool have_heap = heap_.size() > kHeapBase;
-    const bool have_run = !sorted_run_.empty();
-    if (!have_heap && !have_run) return false;
-    *from_run = have_run && (!have_heap ||
-                             sorted_run_.back().before(heap_[kHeapBase]));
-    *top = *from_run ? sorted_run_.back() : heap_[kHeapBase];
-    const std::uint32_t slot = top->slot();
-    if (!is_dead(slot)) return true;
-    // Tombstone — collect and keep looking.
-    if (*from_run) {
-      sorted_run_.pop_back();
-    } else {
-      heap_remove_top();
-    }
-    --dead_in_heap_;
-    clear_dead(slot);
-    release_slot(slot);
+bool Simulator::peek_top(HeapEntry* top, Source* source) const {
+  bool found = false;
+  if (!sorted_run_.empty()) {
+    *top = sorted_run_.back();
+    *source = Source::kRun;
+    found = true;
   }
+  if (heap_.size() > kHeapBase && (!found || heap_[kHeapBase].before(*top))) {
+    *top = heap_[kHeapBase];
+    *source = Source::kHeap;
+    found = true;
+  }
+  std::size_t unseen = armed_timers_;
+  for (const Timer& timer : timers_) {
+    if (unseen == 0) break;
+    if (!timer.armed) continue;
+    --unseen;
+    if (!found || timer.key.before(*top)) {
+      *top = timer.key;
+      *source = Source::kTimer;
+      found = true;
+    }
+  }
+  return found;
 }
 
 double Simulator::next_event_time() {
   flush_batch();
   HeapEntry top;
-  bool from_run;
-  if (!peek_live_top(&top, &from_run)) {
+  Source source;
+  if (!peek_top(&top, &source)) {
     return std::numeric_limits<double>::infinity();
   }
   return top.time;

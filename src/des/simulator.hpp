@@ -7,21 +7,21 @@
 // Engine layout:
 //   * Actions are InlineFunction — small-buffer-optimized closures stored
 //     inline in the event node; scheduling never heap-allocates.
-//   * Event nodes live in a slab (std::vector) and are addressed by
-//     {slot, generation} EventId handles. Slots are recycled through a free
-//     list; the generation counter makes stale handles (ABA) harmless.
-//   * The ready queue is an indexed 4-ary min-heap of {time, seq, slot}
-//     entries — shallower than a binary heap and comparisons never touch the
-//     slab, so sifts stay in a few cache lines.
-//   * Cancellation is O(1): the node is disarmed (tombstoned) and its action
-//     destroyed in place; the heap entry is lazily skipped on pop. When dead
-//     entries exceed half the heap, the heap is compacted and re-heapified
-//     in one O(n) pass so cancel-heavy workloads don't drag a tail of
-//     tombstones through every sift.
+//   * One-shot event nodes live in a slab of stable chunks; slots are
+//     recycled through a free list as soon as their event fires.
+//   * The ready queue is a 4-ary min-heap of {time, seq, slot} entries —
+//     shallower than a binary heap and comparisons never touch the slab, so
+//     sifts stay in a few cache lines.
+//   * A pending instant that moves (a PS link's next completion) is a
+//     re-armable timer rather than an event: arming only rewrites the
+//     timer's key, so nothing is ever removed from the heap early. Each pop
+//     takes the earliest of the heap top, the sorted bulk-load run and the
+//     armed timers.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <new>
 #include <vector>
@@ -31,26 +31,6 @@
 #include "util/cache_aligned.hpp"
 
 namespace specpf {
-
-/// Opaque handle for cancelling a scheduled event. Trivially copyable;
-/// outliving the event is safe (generation-checked).
-class EventId {
- public:
-  EventId() = default;
-  bool valid() const { return slot_ != kInvalid; }
-
- private:
-  friend class Simulator;
-  static constexpr std::uint32_t kInvalid = 0xffffffffu;
-  EventId(std::uint32_t slot, std::uint32_t generation, const void* owner)
-      : slot_(slot), generation_(generation), owner_(owner) {}
-  std::uint32_t slot_ = kInvalid;
-  std::uint32_t generation_ = 0;
-  // Slot/generation handles are only meaningful within their own engine;
-  // cancel() rejects cross-instance handles instead of silently tombstoning
-  // an unrelated event with a coincident {slot, generation}.
-  const void* owner_ = nullptr;
-};
 
 class Simulator {
  public:
@@ -64,15 +44,31 @@ class Simulator {
   /// Current simulation time (seconds).
   double now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `when` (>= now). Returns a handle
-  /// usable with cancel().
-  EventId schedule_at(double when, Action action);
+  /// Schedules `action` at absolute time `when` (>= now).
+  void schedule_at(double when, Action action);
 
   /// Schedules `action` after a non-negative delay.
-  EventId schedule_in(double delay, Action action);
+  void schedule_in(double delay, Action action);
 
-  /// Cancels a pending event; no-op if already fired or cancelled.
-  void cancel(const EventId& id);
+  /// Handle of a re-armable timer (see add_timer).
+  using TimerId = std::uint32_t;
+
+  /// Registers a timer that runs `action` each time it fires. Timers start
+  /// disarmed and live as long as the engine; their storage is stable, so
+  /// a timer may be added from inside a running event. Meant for a few
+  /// long-lived instants that keep moving (one per link): every pop scans
+  /// the armed timers.
+  TimerId add_timer(Action action);
+
+  /// Arms timer `id` to fire at absolute time `when` (>= now), replacing
+  /// any earlier arming. The timer draws a fresh insertion sequence from
+  /// the counter schedule_at uses, so it fires exactly where an event
+  /// scheduled now would. A fired timer is disarmed before its action
+  /// runs; the action may arm it again.
+  void arm_timer(TimerId id, double when);
+
+  /// Disarms timer `id`; no-op when it is not armed.
+  void disarm_timer(TimerId id);
 
   /// Executes the next event. Returns false when the queue is empty.
   bool step();
@@ -84,47 +80,46 @@ class Simulator {
   /// Runs until the queue drains.
   void run();
 
-  /// Timestamp of the earliest live pending event, or +infinity when the
-  /// queue is empty. Collects any tombstones sitting on top of either tier,
-  /// so the answer is exact. This is the epoch hook the sharded driver uses
+  /// Timestamp of the earliest pending event or armed timer, or +infinity
+  /// when nothing is pending. This is the epoch hook the sharded driver uses
   /// to size conservative synchronization windows (epoch = earliest event +
   /// lookahead) and to fast-forward through idle gaps.
   double next_event_time();
 
-  /// Number of events executed so far (excludes cancelled).
+  /// Number of events and timer firings executed so far.
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Events currently pending (including not-yet-collected tombstones).
+  /// Events plus armed timers currently pending.
   std::size_t pending() const noexcept {
-    return heap_.size() - kHeapBase + sorted_run_.size();
+    return queued() + armed_timers_;
   }
 
-  /// Turns on freed-slot poisoning (0xDD fill of the action storage) and
-  /// generation shadowing for subsequent slot traffic. On by default in
-  /// SPECPF_AUDIT builds; tests call this to exercise the stale-handle and
-  /// poison checks in any build. Slots freed before the call are left
-  /// unpoisoned — audit() only checks slots freed while the mode was on.
+  /// Turns on freed-slot poisoning (0xDD fill of the action storage) for
+  /// subsequent slot traffic. On by default in SPECPF_AUDIT builds; tests
+  /// call this to exercise the poison check in any build. Slots freed
+  /// before the call are left unpoisoned — audit() only checks slots freed
+  /// while the mode was on.
   void enable_audit_mode();
 
   /// Deep-invariant walker (util/audit.hpp): free-list acyclicity and
-  /// bounds, freed slots disarmed + poison intact + generation matching the
-  /// shadow (catches rollback through a recycled slot), heap entries naming
-  /// valid unique slots with armed-iff-live actions, tombstone bitset
-  /// agreeing with dead_in_heap_, the 4-ary heap property over the ordered
-  /// prefix, the sorted run descending, pending times >= now(), and slab
-  /// conservation (free + pending == slab size).
+  /// bounds, freed slots disarmed + poison intact, queued entries naming
+  /// valid unique armed slots, the 4-ary heap property over the ordered
+  /// prefix, the sorted run descending, queued times and armed timers
+  /// >= now(), the armed-timer count, and slab conservation (free + queued
+  /// == slab size).
   void audit(AuditReport& report) const;
 
  private:
   friend struct AuditPeer;  // corruption-injection tests only
 
-  // One cache line per node: the inline action plus slot bookkeeping. A node
-  // is "armed" exactly when its action is non-empty (schedule_at rejects
-  // empty actions), so no separate flag is needed.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  // One cache line per node: the inline action plus the free-list link. A
+  // node is "armed" exactly when its action is non-empty (schedule_at
+  // rejects empty actions), so no separate flag is needed.
   struct alignas(kCacheLineBytes) Node {
     Action action;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = EventId::kInvalid;
+    std::uint32_t next_free = kNoSlot;
   };
   static_assert(sizeof(Node) == kCacheLineBytes,
                 "a slab node must stay exactly one cache line: the pop path "
@@ -133,7 +128,8 @@ class Simulator {
   // Heap entries carry the full ordering key so comparisons never touch the
   // slab: `tie` packs (seq << kSlotBits) | slot. Seq dominates the compare;
   // the slot bits only ever break a tie between entries with equal seq,
-  // which cannot happen.
+  // which cannot happen. A timer's key has the same shape with its TimerId
+  // in the slot bits.
   struct HeapEntry {
     double time;
     std::uint64_t tie;
@@ -169,19 +165,6 @@ class Simulator {
                  chunks_[slot >> kChunkShift].get()) +
              (slot & (kChunkSize - 1)));
   }
-  // Tombstone bits live in a tiny slot-indexed bitset (2 KiB per 131k slots,
-  // L1-resident) so the pop loop can classify the top entry without touching
-  // the slab; the node's cache line is then fetched in parallel with the
-  // heap sift. Invariant: bit set <=> cancelled event awaiting collection.
-  bool is_dead(std::uint32_t slot) const {
-    return (dead_bits_[slot >> 6] >> (slot & 63)) & 1u;
-  }
-  void mark_dead(std::uint32_t slot) {
-    dead_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-  }
-  void clear_dead(std::uint32_t slot) {
-    dead_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void sift_up(std::size_t pos);
@@ -193,14 +176,18 @@ class Simulator {
   /// the batch is large (Floyd heapify is O(n) and streams sequentially,
   /// far cheaper than n individual sift-ups on a cold heap).
   void flush_batch();
-  void compact();
   void renumber_seqs();
-  /// Finds the earliest *live* pending entry across both tiers, collecting
-  /// any tombstones sitting on top along the way. Returns false when
-  /// nothing is pending; otherwise fills `top` and whether it came from the
-  /// sorted run. Shared by run_next and next_event_time so the epoch
-  /// driver's view of "next event" can never diverge from what pops.
-  bool peek_live_top(HeapEntry* top, bool* from_run);
+  /// Entries in the heap and the sorted run.
+  std::size_t queued() const noexcept {
+    return heap_.size() - kHeapBase + sorted_run_.size();
+  }
+  enum class Source : std::uint8_t { kHeap, kRun, kTimer };
+  /// Finds the earliest pending instant across the heap, the sorted run and
+  /// the armed timers. Returns false when nothing is pending; otherwise
+  /// fills `top` and where it lives (for a timer, top->slot() is its id).
+  /// Shared by run_next and next_event_time so the epoch driver's view of
+  /// "next event" can never diverge from what pops.
+  bool peek_top(HeapEntry* top, Source* source) const;
   /// Executes the earliest runnable event with time <= limit. Returns false
   /// if the heap drains or only later events remain.
   bool run_next(double limit);
@@ -219,7 +206,6 @@ class Simulator {
   // construction sweep) and destroyed in ~Simulator.
   std::vector<ChunkPtr> chunks_;
   std::size_t slab_size_ = 0;
-  std::vector<std::uint64_t> dead_bits_;
   // Physical layout: [0, kHeapBase) are never-read dummies; the root is at
   // kHeapBase. 64-byte-aligned storage keeps child groups line-aligned.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> heap_ =
@@ -228,24 +214,30 @@ class Simulator {
   // beyond are an unordered appended batch awaiting flush_batch().
   std::size_t heapified_ = kHeapBase;
   // Second tier: when a large batch is scheduled while nothing else is
-  // pending (bulk loads: trace replay, pre-seeded scenarios), the batch is
+  // queued (bulk loads: trace replay, pre-seeded scenarios), the batch is
   // sorted descending once and popped O(1) from the back instead of paying
   // a full-depth sift per pop. The earliest event is always the smaller of
   // sorted_run_.back() and the heap top, so ordering semantics are
   // identical; events scheduled afterwards go through the heap.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> sorted_run_;
-  std::uint32_t free_head_ = EventId::kInvalid;
-  std::size_t dead_in_heap_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
+  // Re-armable timers. A deque keeps each action at a fixed address while
+  // timers are added, so a firing timer may register another.
+  struct Timer {
+    Action action;
+    HeapEntry key{};  // valid while armed
+    bool armed = false;
+  };
+  std::deque<Timer> timers_;
+  std::size_t armed_timers_ = 0;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   // Audit-mode state (see enable_audit_mode): poison freed action storage
-  // and shadow each slot's expected generation so audit() can catch a
-  // generation rolled back (or forged) through a recycled slot. The shadow
-  // vectors grow lazily on the first release with the mode on.
+  // so audit() can catch a write into a slot nobody owns. The vector grows
+  // lazily on the first release with the mode on.
   bool audit_mode_ = kAuditBuild;
-  std::vector<std::uint32_t> shadow_gen_;  // kInvalid = untracked slot
-  std::vector<std::uint8_t> poisoned_;     // freed with poison applied
+  std::vector<std::uint8_t> poisoned_;  // freed with poison applied
 };
 
 }  // namespace specpf

@@ -5,7 +5,11 @@
 namespace specpf {
 
 PsServer::PsServer(Simulator& sim, double bandwidth)
-    : Server(sim, bandwidth), last_sync_(sim.now()) {}
+    : Server(sim, bandwidth),
+      last_sync_(sim.now()),
+      completion_timer_(sim.add_timer([this] { complete_front(); })) {}
+
+PsServer::~PsServer() { sim_.disarm_timer(completion_timer_); }
 
 void PsServer::sync_virtual_time(double now) {
   if (!jobs_.empty()) {
@@ -27,16 +31,16 @@ std::uint64_t PsServer::submit(double size, Callback on_complete) {
 }
 
 void PsServer::schedule_next_completion() {
-  // Generation-checked handles make cancel O(1) and idempotent; no need to
-  // clear the handle before rescheduling.
-  sim_.cancel(completion_event_);
-  if (jobs_.empty()) return;
+  if (jobs_.empty()) {
+    sim_.disarm_timer(completion_timer_);
+    return;
+  }
   const double finish_v = jobs_.begin()->first;
   const double remaining_v = finish_v - virtual_time_;
   SPECPF_ASSERT(remaining_v >= -1e-9);
   const double rate = bandwidth_ / static_cast<double>(jobs_.size());
   const double delay = remaining_v > 0.0 ? remaining_v / rate : 0.0;
-  completion_event_ = sim_.schedule_in(delay, [this] { complete_front(); });
+  sim_.arm_timer(completion_timer_, sim_.now() + delay);
 }
 
 void PsServer::complete_front() {

@@ -6,7 +6,8 @@
 // bandwidth/n(t) while n(t) jobs are active. A job arriving at virtual time
 // V_a with size S completes when V reaches V_a + S. Jobs therefore finish in
 // order of (arrival virtual time + size), and only the earliest completion
-// needs an event scheduled; arrivals and departures reschedule it. Each
+// is pending in the engine: the link owns one re-armable engine timer, and
+// every arrival and departure re-arms it (or disarms it when idle). Each
 // arrival/departure is O(log n) via an ordered multiset keyed by finish
 // virtual time — no O(n) remaining-work rescans.
 #pragma once
@@ -21,6 +22,9 @@ namespace specpf {
 class PsServer final : public Server {
  public:
   PsServer(Simulator& sim, double bandwidth);
+  /// Disarms the completion timer, so a link destroyed mid-run never fires
+  /// on an engine that keeps running.
+  ~PsServer() override;
 
   std::uint64_t submit(double size, Callback on_complete) override;
   std::size_t active_jobs() const override { return jobs_.size(); }
@@ -36,8 +40,8 @@ class PsServer final : public Server {
   /// Advances the virtual clock to wall-clock time `now`.
   void sync_virtual_time(double now);
 
-  /// (Re)schedules the completion event for the job with least finish
-  /// virtual time.
+  /// Arms the completion timer for the job with least finish virtual time,
+  /// or disarms it when no job is left.
   void schedule_next_completion();
 
   void complete_front();
@@ -50,7 +54,7 @@ class PsServer final : public Server {
   std::multimap<double, Job> jobs_;
   double virtual_time_ = 0.0;
   double last_sync_ = 0.0;
-  EventId completion_event_;
+  Simulator::TimerId completion_timer_;
   std::uint64_t next_job_id_ = 1;
 };
 

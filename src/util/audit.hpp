@@ -3,7 +3,7 @@
 // PRs 1-6 moved every hot structure onto hand-rolled arenas (DES handle
 // slabs, CacheArena, ContextArena, FlatHashMap/FlatIndexMap). Slabs never
 // return memory to the allocator, so AddressSanitizer is blind to the bug
-// classes that matter most here: a stale {slot, generation} handle, a
+// classes that matter most here: a write into a freed engine slot, a
 // recycled successor slot, or a desynced residency entry all read *valid*
 // memory and silently corrupt a sweep. The audit layer makes those bugs
 // fail loudly instead: every arena-backed structure exposes an
@@ -29,7 +29,7 @@
 namespace specpf {
 
 /// True in SPECPF_AUDIT builds: the runtimes run audit sweeps automatically
-/// and the DES engine defaults to slab poisoning + generation shadowing.
+/// and the DES engine defaults to freed-slot poisoning.
 #if defined(SPECPF_AUDIT_BUILD)
 inline constexpr bool kAuditBuild = true;
 #else

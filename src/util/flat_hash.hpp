@@ -3,7 +3,7 @@
 // tables, trace indexes).
 //
 // Design: robin-hood probing over a power-of-two table with backward-shift
-// deletion, so the table is tombstone-free and lookups never scan dead
+// deletion, so the table keeps no deleted markers and lookups never scan dead
 // slots. One byte of metadata per slot (0 = empty, d = probe distance + 1)
 // keeps the probe loop inside a single contiguous array; entries live in a
 // parallel flat array, so a hit costs a couple of cache lines instead of a
@@ -322,7 +322,7 @@ class FlatHashMap {
   }
 
   /// Backward-shift deletion: pull the probe chain one slot left until a
-  /// slot that is empty or at its home position. No tombstones.
+  /// slot that is empty or at its home position. No deleted markers.
   void erase_at(std::size_t idx) {
     std::size_t cur = idx;
     for (;;) {

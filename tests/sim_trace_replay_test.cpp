@@ -405,6 +405,62 @@ TEST(TraceReplayGolden, ReplayBackendMatrixMatchesRecordedValues) {
   expect_recorded(digests, labels, kReplayBackendDigests);
 }
 
+// The same trace under a fixed threshold every predictor prefetches
+// through, at capacities small enough that prefetched items are evicted
+// unread: predictor (markov, ppm, depgraph, frequency) x cache kind x
+// capacity (4, 8). Recorded before the engine's completion timer replaced
+// cancel + reschedule, so the PS link's event order is pinned across it.
+constexpr std::uint64_t kReplayPrefetchDigests[] = {
+    0xd24eaba2e80a8788, 0x7469c8282c61f0a8, 0x12bdfbf86bf50728,
+    0x7bff0982c56aadd2, 0x47004fce3b5c0be3, 0x4e97f31665cc5dc3,
+    0x9842459e90832b37, 0x40ddcae3a7aec554, 0x82c9abfca6e8a082,
+    0xddbc166fbadd59e0, 0x940a48c0cacad1c9, 0x62d0fa57ec8a6e40,
+    0x81cfb2e3584c3960, 0xf92b7d54f1159143, 0x01f3df6716d6ee19,
+    0xc50412296eeaf369, 0x24acd296554f007c, 0x4d46aa42168fbae6,
+    0xab865e3139f5b035, 0xafac5104567045eb, 0x802cbccbbc031067,
+    0xce5f4823dedd7c1a, 0x5c7c21e727e82ec8, 0x935e9ec2daff267f,
+    0x11b406fb9a72d2a0, 0x5eb3b30f551aaea7, 0x3b7e7784ac20aa14,
+    0xaf84d0edcd0c4031, 0xf9fe187e8d95bf81, 0xd0035b371696e435,
+    0xa2630a8ef374effb, 0x7a1662040a4863b2, 0xe8d365c614b8ce63,
+    0xbb3db3a816cf6dd5, 0x58b04325fddd68a1, 0x1bbd081ff3748bb5,
+    0x7bf4ab8eb1d3c406, 0x13a57ba4001b868f, 0xd9347e51f2315607,
+    0xe4eb11a2d32d26fb,
+};
+
+TEST(TraceReplayGolden, ReplayPrefetchEvictionMatrixMatchesRecordedValues) {
+  const Trace trace = backend_trace(500, 5000, 21);
+  std::vector<std::uint64_t> digests;
+  std::vector<std::string> labels;
+  for (PredictorKind predictor :
+       {PredictorKind::kMarkov, PredictorKind::kPpm,
+        PredictorKind::kDependencyGraph, PredictorKind::kFrequency}) {
+    for (std::size_t capacity : {std::size_t{4}, std::size_t{8}}) {
+      // Every leg prefetches and evicts, so each cache kind leaves its own
+      // digest: no two legs of one (predictor, capacity) row may agree.
+      std::vector<std::uint64_t> row;
+      for (CacheKind cache : kAllCaches) {
+        TraceReplayConfig cfg;
+        cfg.bandwidth = 60.0;
+        cfg.cache_capacity = capacity;
+        cfg.cache_kind = cache;
+        cfg.predictor_kind = predictor;
+        FixedThresholdPolicy policy(0.1);
+        const ProxySimResult r = run_trace_replay(trace, cfg, policy);
+        const std::string label = std::string(predictor_kind_name(predictor)) +
+                                  "/" + cache_kind_name(cache) + "/" +
+                                  std::to_string(capacity);
+        EXPECT_GT(r.prefetch_jobs, 0u) << label;
+        EXPECT_GT(r.wasted_prefetch_evictions, 0u) << label;
+        for (std::uint64_t other : row) EXPECT_NE(digest(r), other) << label;
+        row.push_back(digest(r));
+        digests.push_back(digest(r));
+        labels.push_back(label);
+      }
+    }
+  }
+  expect_recorded(digests, labels, kReplayPrefetchDigests);
+}
+
 // A 3-shard fleet: predictor (markov, ppm) x cache kind.
 constexpr std::uint64_t kShardedBackendDigests[] = {
     0xa7bb09606594c7b4, 0xd813222beb889a5f, 0x20c3a1e0c2d3c925,

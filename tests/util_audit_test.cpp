@@ -2,8 +2,8 @@
 // caught. The corruption half works through AuditPeer (declared in
 // util/audit.hpp, defined only here, friend of every auditable structure):
 // each test builds a healthy structure, verifies audit() reports nothing,
-// injects exactly the defect class the walker exists to catch — a stale
-// generation or scribbled freed slot in the engine slab, a broken or cyclic
+// injects exactly the defect class the walker exists to catch — a scribbled
+// freed slot or a timer armed in the past in the engine, a broken or cyclic
 // intrusive chain in the cache arenas, a free-list cycle, successor-total
 // drift, a misranked head or a shared or missing head block in the context
 // arena, metadata corruption in the robin-hood tables, a demand-count
@@ -96,9 +96,6 @@ struct AuditPeer {
     }
     return kNoSlot;
   }
-  static void rollback_generation(Simulator& s, std::uint32_t slot) {
-    --s.node_at(slot).generation;  // forge a reusable stale handle
-  }
   static void scribble_freed_slot(Simulator& s, std::uint32_t slot) {
     // A write through a stale handle lands in freed storage: simulate the
     // scribble by repainting the poison fill.
@@ -107,7 +104,12 @@ struct AuditPeer {
   static void cycle_engine_free_list(Simulator& s) {
     s.node_at(s.free_head_).next_free = s.free_head_;
   }
-  static void desync_tombstone_count(Simulator& s) { ++s.dead_in_heap_; }
+  static void leave_seqs(Simulator& s, std::uint64_t left) {
+    s.next_seq_ = Simulator::kMaxSeq - left;
+  }
+  static void move_timer_into_past(Simulator& s, Simulator::TimerId id) {
+    s.timers_[id].key.time = s.now() - 1.0;  // a completion that was missed
+  }
   static bool break_pending_order(Simulator& s) {
     if (s.sorted_run_.size() >= 2) {
       std::swap(s.sorted_run_.front(), s.sorted_run_.back());
@@ -252,16 +254,21 @@ TEST(AuditClean, PredictorPlanesAllArenaKinds) {
   }
 }
 
-TEST(AuditClean, EngineScheduleCancelRunSweepsClean) {
+TEST(AuditClean, EngineScheduleTimerRunSweepsClean) {
   Simulator sim;
   sim.enable_audit_mode();
   int fired = 0;
-  std::vector<EventId> ids;
   for (int i = 0; i < 500; ++i) {
-    ids.push_back(sim.schedule_at(0.01 * (i + 1), [&fired] { ++fired; }));
+    sim.schedule_at(0.01 * (i + 1), [&fired] { ++fired; });
   }
-  for (int i = 0; i < 500; i += 3) sim.cancel(ids[i]);
-  sim.run_until(2.0);  // executes ~2/5 of the live events
+  std::vector<Simulator::TimerId> timers;
+  for (int i = 0; i < 3; ++i) {
+    timers.push_back(sim.add_timer([&fired] { ++fired; }));
+    sim.arm_timer(timers.back(), 1.0 + i);
+  }
+  sim.arm_timer(timers[0], 3.5);  // re-armed past the horizon
+  sim.disarm_timer(timers[1]);
+  sim.run_until(2.0);  // executes 2/5 of the events and timers[2]
   for (int i = 0; i < 40; ++i) {
     sim.schedule_in(0.5 + 0.01 * i, [&fired] { ++fired; });
   }
@@ -440,6 +447,25 @@ TEST(AuditInjection, FlatHashMapMetadataCorruption) {
   EXPECT_FALSE(report.ok()) << "probe-distance corruption was not detected";
 }
 
+// Running out of sequence numbers renumbers everything pending, armed
+// timers included, without changing the order: the timer keeps its place
+// between the two events scheduled around it.
+TEST(AuditClean, EngineSeqRenumberKeepsTimerInOrder) {
+  Simulator sim;
+  AuditPeer::leave_seqs(sim, 3);
+  std::vector<int> order;
+  const Simulator::TimerId timer = sim.add_timer([&] { order.push_back(0); });
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.arm_timer(timer, 1.0);
+  sim.schedule_at(1.0, [&] { order.push_back(2); });
+  sim.schedule_at(1.0, [&] { order.push_back(3); });  // renumbers first
+  AuditReport report;
+  sim.audit(report);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+}
+
 /// Engine with audit mode on, some executed (freed) slots, and pending
 /// events in the ordered tier.
 void seed_engine(Simulator& sim) {
@@ -450,19 +476,19 @@ void seed_engine(Simulator& sim) {
   sim.run_until(2.0);  // frees ~20 slots, leaves the rest pending
 }
 
-TEST(AuditInjection, EngineStaleGeneration) {
+TEST(AuditInjection, EngineTimerArmedInPast) {
   Simulator sim;
   seed_engine(sim);
-  const std::uint32_t slot = AuditPeer::freed_tracked_slot(sim);
-  ASSERT_NE(slot, AuditPeer::kNoSlot);
+  const Simulator::TimerId timer = sim.add_timer([] {});
+  sim.arm_timer(timer, 5.0);
   AuditReport clean;
   sim.audit(clean);
   ASSERT_TRUE(clean.ok()) << clean.summary();
 
-  AuditPeer::rollback_generation(sim, slot);
+  AuditPeer::move_timer_into_past(sim, timer);
   AuditReport report;
   sim.audit(report);
-  expect_failure_containing(report, "generation");
+  expect_failure_containing(report, "armed in the past");
 }
 
 TEST(AuditInjection, EngineFreedSlotScribble) {
@@ -483,15 +509,6 @@ TEST(AuditInjection, EngineFreeListCycle) {
   AuditReport report;
   sim.audit(report);
   expect_failure_containing(report, "cycle");
-}
-
-TEST(AuditInjection, EngineTombstoneCountDesync) {
-  Simulator sim;
-  seed_engine(sim);
-  AuditPeer::desync_tombstone_count(sim);
-  AuditReport report;
-  sim.audit(report);
-  EXPECT_FALSE(report.ok()) << "tombstone-count desync was not detected";
 }
 
 TEST(AuditInjection, EnginePendingOrderViolation) {
