@@ -40,6 +40,14 @@ double bench_ps_server(std::uint64_t* jobs_out) {
   return secs;
 }
 
+double bench_ps_deep_equal(std::uint64_t* jobs_out) {
+  std::uint64_t completed = 0;
+  const double secs = best_time(
+      [&] { completed = specpf::benchwork::ps_server_deep_equal(); });
+  *jobs_out = completed;
+  return secs;
+}
+
 double bench_proxy_sim(std::uint64_t* requests_out) {
   specpf::ProxySimConfig config;
   config.num_users = 8;
@@ -81,6 +89,11 @@ int main(int argc, char** argv) {
   const double ps_secs = bench_ps_server(&ps_jobs);
   metrics.push_back({"ps_server.ops_per_sec",
                      static_cast<double>(ps_jobs) / ps_secs, "jobs/s"});
+
+  std::uint64_t deep_jobs = 0;
+  const double deep_secs = bench_ps_deep_equal(&deep_jobs);
+  metrics.push_back({"ps_server.deep_equal.ops_per_sec",
+                     static_cast<double>(deep_jobs) / deep_secs, "jobs/s"});
 
   std::uint64_t requests = 0;
   const double proxy_secs = bench_proxy_sim(&requests);

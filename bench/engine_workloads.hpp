@@ -59,4 +59,20 @@ inline std::uint64_t ps_server_throughput() {
   return server.stats().completed;
 }
 
+/// Deep equal-size PS link, the shape of a flash crowd on one regional
+/// link: 100000 unit-size jobs arrive 1 ms apart on a 10 units/s link, so
+/// almost none finishes during the burst (V grows only ~0.01·ln n) and the
+/// queue peaks near 10^5 live jobs, then drains in arrival order. Every
+/// job takes the O(1) FIFO-run path. Returns jobs completed.
+inline std::uint64_t ps_server_deep_equal() {
+  constexpr int kJobs = 100000;
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  for (int i = 0; i < kJobs; ++i) {
+    sim.schedule_at(1e-3 * i, [&server] { server.submit(1.0, nullptr); });
+  }
+  sim.run();
+  return server.stats().completed;
+}
+
 }  // namespace specpf::benchwork

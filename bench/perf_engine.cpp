@@ -38,6 +38,14 @@ void BM_PsServer_Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_PsServer_Throughput);
 
+void BM_PsServer_DeepEqual(benchmark::State& state) {
+  // 10^5 equal-size jobs queued at once, then drained: the FIFO-run path.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(benchwork::ps_server_deep_equal());
+  }
+}
+BENCHMARK(BM_PsServer_DeepEqual);
+
 void BM_Rng_NextDouble(benchmark::State& state) {
   Rng rng(4);
   double acc = 0.0;

@@ -110,7 +110,7 @@ void Simulator::audit(AuditReport& report) const {
   std::size_t armed = 0;
   for (std::size_t id = 0; id < timers_.size(); ++id) {
     const Timer& timer = timers_[id];
-    report.check(static_cast<bool>(timer.action),
+    report.check(timer.action && static_cast<bool>(*timer.action),
                  "timer " + std::to_string(id) + " lost its action");
     if (!timer.armed) continue;
     ++armed;
@@ -267,7 +267,7 @@ void Simulator::schedule_in(double delay, Action action) {
 Simulator::TimerId Simulator::add_timer(Action action) {
   SPECPF_EXPECTS(static_cast<bool>(action));
   SPECPF_ASSERT(timers_.size() < kMaxSlots);
-  timers_.emplace_back().action = std::move(action);
+  timers_.emplace_back().action = std::make_unique<Action>(std::move(action));
   return static_cast<TimerId>(timers_.size() - 1);
 }
 
@@ -302,7 +302,9 @@ bool Simulator::run_next(double limit) {
     --armed_timers_;
     now_ = top.time;
     ++executed_;
-    timer.action();  // in place: the action may re-arm its own timer
+    // Called through its own cell: `timer` may dangle if the action adds
+    // a timer, the action does not. It may also re-arm its own timer.
+    (*timer.action)();
     return true;
   }
   const std::uint32_t slot = top.slot();

@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <new>
 #include <vector>
@@ -69,6 +68,12 @@ class Simulator {
 
   /// Disarms timer `id`; no-op when it is not armed.
   void disarm_timer(TimerId id);
+
+  /// True while timer `id` is armed.
+  bool timer_armed(TimerId id) const {
+    SPECPF_EXPECTS(id < timers_.size());
+    return timers_[id].armed;
+  }
 
   /// Executes the next event. Returns false when the queue is empty.
   bool step();
@@ -221,14 +226,15 @@ class Simulator {
   // identical; events scheduled afterwards go through the heap.
   std::vector<HeapEntry, CacheAlignedAllocator<HeapEntry>> sorted_run_;
   std::uint32_t free_head_ = kNoSlot;
-  // Re-armable timers. A deque keeps each action at a fixed address while
-  // timers are added, so a firing timer may register another.
+  // Re-armable timers, in a flat array that peek_top scans on every pop.
+  // Each action has its own allocation, so a firing action keeps its
+  // address while it registers another timer (which may grow the array).
   struct Timer {
-    Action action;
     HeapEntry key{};  // valid while armed
     bool armed = false;
+    std::unique_ptr<Action> action;
   };
-  std::deque<Timer> timers_;
+  std::vector<Timer> timers_;
   std::size_t armed_timers_ = 0;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -18,8 +18,7 @@ std::uint64_t FifoServer::submit(double size, Callback on_complete) {
 
 void FifoServer::start_next() {
   SPECPF_ASSERT(!queue_.empty());
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = queue_.pop_front();
   in_service_ = true;
   sim_.schedule_in(current_.size / bandwidth_, [this] { finish_current(); });
 }

@@ -5,8 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "net/job_ring.hpp"
 #include "net/server.hpp"
 
 namespace specpf {
@@ -22,7 +22,7 @@ class FifoServer final : public Server {
 
  private:
   // Callbacks are inline (move-only InlineFunction), so queued jobs move
-  // through the deque without per-job heap traffic.
+  // through the ring without per-job heap traffic.
   struct Job {
     std::uint64_t id;
     double size;
@@ -33,7 +33,7 @@ class FifoServer final : public Server {
   void start_next();
   void finish_current();
 
-  std::deque<Job> queue_;
+  JobRing<Job> queue_;
   bool in_service_ = false;
   Job current_{};
   std::uint64_t next_job_id_ = 1;

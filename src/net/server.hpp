@@ -76,6 +76,9 @@ class Server {
  protected:
   void record_arrival();
   void record_completion(const TransferResult& result);
+  /// Jobs between record_arrival and record_completion; audit walkers
+  /// compare it with what the queue holds.
+  std::size_t live_jobs() const noexcept { return live_jobs_; }
 
   Simulator& sim_;
   double bandwidth_;

@@ -485,10 +485,12 @@ void StackRuntime::audit(AuditReport& report) const {
                "cache_residents_ says " + std::to_string(cache_residents_) +
                    " but the fleet holds " +
                    std::to_string(derived_residents) + " entries");
-  // Structural sweeps of the planes and the engine this slice runs on.
+  // Structural sweeps of the planes, the link and the engine this slice
+  // runs on.
   inflight_.audit(report);
   caches_->audit(report);
   predictor_.audit(report);
+  server_.audit(report);
   sim_.audit(report);
   if (telemetry_ != nullptr) telemetry_->audit(report);
 }

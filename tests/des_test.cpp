@@ -89,6 +89,29 @@ TEST(Simulator, DisarmFromWithinEvent) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulator, FiringTimerMayAddTimers) {
+  // The firing action registers enough timers to regrow the timer array,
+  // then reads its own capture: the action itself must not have moved.
+  Simulator sim;
+  std::vector<int> order;
+  const Simulator::TimerId first =
+      sim.add_timer([&sim, &order, added = 0]() mutable {
+        for (int k = 0; k < 64; ++k) {
+          const int tag = ++added;
+          const Simulator::TimerId id =
+              sim.add_timer([&order, tag] { order.push_back(tag); });
+          sim.arm_timer(id, sim.now() + tag);
+        }
+        order.push_back(-added);
+      });
+  sim.arm_timer(first, 1.0);
+  sim.run();
+  ASSERT_EQ(order.size(), 65u);
+  EXPECT_EQ(order[0], -64);
+  for (int k = 1; k <= 64; ++k) EXPECT_EQ(order[k], k);
+  EXPECT_EQ(sim.events_executed(), 65u);
+}
+
 TEST(Simulator, RunUntilStopsAtHorizonAndSetsClock) {
   Simulator sim;
   std::vector<double> fired;

@@ -3,12 +3,16 @@
 // Pollaczek–Khinchine closed forms (the paper's eq. 2 substrate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/fifo_server.hpp"
+#include "net/job_ring.hpp"
 #include "util/contract.hpp"
 #include "net/ps_server.hpp"
 #include "queueing/mg1_ps.hpp"
@@ -279,6 +283,108 @@ TEST(FifoServer, DeterministicServiceBeatsExponentialUnderFCFS) {
   const double exp_sojourn = run(true);
   const double det_sojourn = run(false);
   EXPECT_LT(det_sojourn, exp_sojourn * 0.85);
+}
+
+TEST(FifoServer, RingGrowsAndWrapsInOrder) {
+  // A burst several blocks deep widens the ring's block index; a steady
+  // stream of ~1.5 blocks afterwards walks the index around many times.
+  // Service must stay first-come-first-served with exact FCFS finish times.
+  Simulator sim;
+  FifoServer server(sim, 1.0);
+  std::vector<std::uint64_t> order;
+  std::vector<double> finishes;
+  auto on_done = [&](const TransferResult& r) {
+    order.push_back(r.job_id);
+    finishes.push_back(r.finish_time);
+  };
+  const std::size_t burst = 5 * kJobBlockSize + 17;
+  for (std::size_t i = 0; i < burst; ++i) server.submit(1.0, on_done);
+  EXPECT_EQ(server.active_jobs(), burst);
+  // From t = burst on, keep the queue about 1.5 blocks deep: two arrivals
+  // per unit of time for a while, then one per unit.
+  const std::size_t stream = 40 * kJobBlockSize;
+  const std::size_t lead = 3 * kJobBlockSize / 2;
+  for (std::size_t i = 0; i < stream; ++i) {
+    const double at = static_cast<double>(burst) +
+                      (i < 2 * lead ? 0.5 * static_cast<double>(i)
+                                    : static_cast<double>(i - lead));
+    sim.schedule_at(at, [&] { server.submit(1.0, on_done); });
+  }
+  std::size_t peak_mid_stream = 0;
+  sim.schedule_at(static_cast<double>(burst + 20 * kJobBlockSize), [&] {
+    peak_mid_stream = server.active_jobs();
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), burst + stream);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_EQ(order[i], i + 1) << "served out of order at " << i;
+    ASSERT_DOUBLE_EQ(finishes[i], static_cast<double>(i + 1));
+  }
+  EXPECT_GT(peak_mid_stream, kJobBlockSize);
+  EXPECT_EQ(server.active_jobs(), 0u);
+}
+
+TEST(JobRing, MatchesDequeUnderRandomPushPop) {
+  // Random pushes and pops against std::deque in alternating phases (3:1
+  // pushes, then 7:1 pops): the size swings between empty and ~20 blocks,
+  // so the index grows and wraps and drained blocks are recycled through
+  // the spare list.
+  JobRing<std::uint64_t> ring;
+  std::deque<std::uint64_t> oracle;
+  Rng rng(42);
+  std::uint64_t next = 0;
+  std::size_t peak = 0;
+  int drains = 0;
+  for (int round = 0; round < 400; ++round) {
+    const bool grow = (round / 25) % 2 == 0;
+    const std::size_t n = rng.next_below(3 * kJobBlockSize);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool push =
+          grow ? rng.next_below(4) != 0 : rng.next_below(8) == 0;
+      if (push) {
+        ring.push_back(std::uint64_t{next});
+        oracle.push_back(next++);
+      } else if (!oracle.empty()) {
+        ASSERT_EQ(ring.front(), oracle.front());
+        ASSERT_EQ(ring.pop_front(), oracle.front());
+        oracle.pop_front();
+        if (oracle.empty()) ++drains;
+      }
+    }
+    ASSERT_EQ(ring.size(), oracle.size());
+    ASSERT_EQ(ring.empty(), oracle.empty());
+    peak = std::max(peak, oracle.size());
+    if (!oracle.empty()) {
+      ASSERT_EQ(ring.back(), oracle.back());
+      const std::size_t probe = rng.next_below(oracle.size());
+      ASSERT_EQ(ring[probe], oracle[probe]);
+    }
+  }
+  EXPECT_GT(peak, 8 * kJobBlockSize);
+  EXPECT_GT(drains, 2);
+  while (!oracle.empty()) {
+    ASSERT_EQ(ring.pop_front(), oracle.front());
+    oracle.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(JobSlab, ReusesFreedSlotsAcrossBlocks) {
+  JobSlab<std::uint64_t> slab;
+  std::vector<std::uint32_t> slots;
+  const std::uint64_t n = 3 * kJobBlockSize + 5;
+  for (std::uint64_t v = 0; v < n; ++v) slots.push_back(slab.insert(v * 3));
+  EXPECT_EQ(slab.live(), n);
+  for (std::uint64_t v = 0; v < n; v += 2) {
+    EXPECT_EQ(slab.take(slots[v]), v * 3);
+  }
+  EXPECT_EQ(slab.live(), n / 2);
+  const std::size_t capacity = slab.capacity();
+  for (std::uint64_t v = 0; v < n; v += 2) slots[v] = slab.insert(v * 7);
+  EXPECT_EQ(slab.capacity(), capacity) << "freed slots were not reused";
+  for (std::uint64_t v = 0; v < n; ++v) {
+    EXPECT_EQ(slab[slots[v]], v * (v % 2 == 0 ? 7 : 3));
+  }
 }
 
 }  // namespace

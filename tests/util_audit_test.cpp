@@ -6,9 +6,9 @@
 // freed slot or a timer armed in the past in the engine, a broken or cyclic
 // intrusive chain in the cache arenas, a free-list cycle, successor-total
 // drift, a misranked head or a shared or missing head block in the context
-// arena, metadata corruption in the robin-hood tables, a demand-count
-// desync in the stack — and asserts the sweep fails with a message naming
-// the defect.
+// arena, metadata corruption in the robin-hood tables, a PS link's run
+// out of finish order, a demand-count desync in the stack — and asserts
+// the sweep fails with a message naming the defect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 #include "cache/factory.hpp"
 #include "cache/reference_caches.hpp"
 #include "des/simulator.hpp"
+#include "net/ps_server.hpp"
 #include "obs/divergence.hpp"
 #include "obs/telemetry.hpp"
 #include "policy/policies.hpp"
@@ -120,6 +121,14 @@ struct AuditPeer {
       return true;
     }
     return false;
+  }
+
+  // --- PS link ------------------------------------------------------------
+  static void break_ps_run_order(PsServer& s) {
+    // The run's front now finishes after its successor: the signature of a
+    // submit that appended a key below the run's back.
+    const_cast<PsServer::Job&>(s.run_[0]).key.finish_v =
+        s.run_[1].key.finish_v + 1.0;
   }
 
   // --- stack runtime ------------------------------------------------------
@@ -519,6 +528,24 @@ TEST(AuditInjection, EnginePendingOrderViolation) {
   AuditReport report;
   sim.audit(report);
   EXPECT_FALSE(report.ok()) << "pending-order violation was not detected";
+}
+
+TEST(AuditInjection, PsServerRunOutOfOrder) {
+  Simulator sim;
+  PsServer server(sim, 10.0);
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_at(0.01 * i, [&server] { server.submit(1.0, nullptr); });
+  }
+  sim.run_until(0.1);  // six equal jobs queued in the run, none finished
+  ASSERT_EQ(server.active_jobs(), 6u);
+  AuditReport clean;
+  server.audit(clean);
+  ASSERT_TRUE(clean.ok()) << clean.summary();
+
+  AuditPeer::break_ps_run_order(server);
+  AuditReport report;
+  server.audit(report);
+  expect_failure_containing(report, "run out of (finish V, id) order");
 }
 
 TEST(AuditInjection, StackRuntimeDemandCountDesync) {
